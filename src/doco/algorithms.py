@@ -29,11 +29,8 @@ import numpy as np
 from .compressors import (
     CompressorSpec,
     Identity,
-    _apply,
-    _apply_bank,
-    _fcc_bank,
+    _SenderBank,
     entity_stream,
-    nominal_delta,
 )
 from .domains import ConfigError, FeasibleSet, ftrl_linear_step, ftrl_strongly_convex_step
 
@@ -57,6 +54,12 @@ class UpdateInfo(NamedTuple):
     x: np.ndarray
     w_played: np.ndarray
     gbar: np.ndarray
+
+
+def _banks(spec, server_spec, d, n, seed):
+    """Sender banks of the n learners and of the server, on their entity streams."""
+    up = _SenderBank(spec, d, [entity_stream(seed, _LEARNER, i) for i in range(n)])
+    return up, _SenderBank(server_spec, d, [entity_stream(seed, _SERVER, 0)])
 
 
 def _check_step_params(eta, mu):
@@ -95,7 +98,6 @@ class Dftcl:
         _check_step_params(eta, mu)
         if n < 1:
             raise ConfigError("n", f"must be >= 1, got {n}")
-        nominal_delta(spec, feasible.d)  # validates spec vs dimension
         self.feasible, self.n, self.d = feasible, n, feasible.d
         self.spec = spec
         self.server_spec: CompressorSpec = Identity() if unidirectional else spec
@@ -110,19 +112,19 @@ class Dftcl:
         self.bits_down = 0
         self.msgs_up = 0
         self.msgs_down = 0
-        self._rng_learners = [entity_stream(seed, _LEARNER, i) for i in range(n)]
-        self._rng_server = entity_stream(seed, _SERVER, 0)
+        self._up, self._down = _banks(spec, self.server_spec, self.d, n, seed)
 
     def round(self, grads: np.ndarray, collect: bool = False) -> RoundInfo:
         """Advance one round given the (n, d) per-learner gradients at the played decision."""
         self.t += 1
         w_played = self.decision
-        v, bits = _apply_bank(self.spec, self.e + grads, self._rng_learners)
+        v, bits = self._up.apply(self.e + grads)
         self.e += grads - v
         self.bits_up += bits
         self.msgs_up += self.n
         vbar = v.mean(axis=0)
-        s, bits = _apply(self.server_spec, self.e_hat + vbar, self._rng_server)
+        s, bits = self._down.apply((self.e_hat + vbar)[None])
+        s = s[0]
         self.e_hat += vbar - s
         self.bits_down += bits
         self.msgs_down += 1
@@ -166,7 +168,6 @@ class Dftfcl:
             raise ConfigError("n", f"must be >= 1, got {n}")
         if L < 1:
             raise ConfigError("L", f"must be >= 1, got {L}")
-        nominal_delta(spec, feasible.d)
         self.feasible, self.n, self.d, self.L = feasible, n, feasible.d, L
         self.spec = spec
         self.eta, self.mu = eta, mu
@@ -187,8 +188,7 @@ class Dftfcl:
         self.bits_down = 0
         self.msgs_up = 0
         self.msgs_down = 0
-        self._rng_learners = [entity_stream(seed, _LEARNER, i) for i in range(n)]
-        self._rng_server = entity_stream(seed, _SERVER, 0)
+        self._up, self._down = _banks(spec, spec, self.d, n, seed)
 
     def round(self, grads: np.ndarray, collect: bool = False) -> RoundInfo:
         """Advance one round; pipeline completions happen on block boundaries."""
@@ -197,13 +197,13 @@ class Dftfcl:
         w_played = self.decision
         self._z_acc += grads
         if self.block >= 2:
-            payloads, bits = _apply_bank(self.spec, self._up_payload - self._up_r, self._rng_learners)
+            payloads, bits = self._up.apply(self._up_payload - self._up_r)
             self._up_r += payloads
             self.bits_up += bits
             self.msgs_up += self.n
         if self.block >= 3:
-            payload, bits = _apply(self.spec, self._down_payload - self._down_r, self._rng_server)
-            self._down_r += payload
+            payload, bits = self._down.apply((self._down_payload - self._down_r)[None])
+            self._down_r += payload[0]
             self.bits_down += bits
             self.msgs_down += 1
         v_done = s_done = None
@@ -286,7 +286,6 @@ class O2b:
             raise ConfigError("n", f"must be >= 1, got {n}")
         if L < 1:
             raise ConfigError("L", f"must be >= 1, got {L}")
-        nominal_delta(spec, feasible.d)
         self.feasible, self.n, self.d, self.L = feasible, n, feasible.d, L
         self.spec = spec
         self.weights = weights
@@ -303,8 +302,7 @@ class O2b:
         self.bits_down = 0
         self.msgs_up = 0
         self.msgs_down = 0
-        self._rng_learners = [entity_stream(seed, _LEARNER, i) for i in range(n)]
-        self._rng_server = entity_stream(seed, _SERVER, 0)
+        self._up, self._down = _banks(spec, spec, self.d, n, seed)
 
     def _alpha(self, t: int) -> float:
         return float(t) if self.weights == "linear" else 1.0
@@ -319,12 +317,12 @@ class O2b:
         x = self._x_weighted / self._alpha_total
         grads = problem.stochastic_grads(x, rng)
         scaled = self.e + alpha * grads
-        v, bits = _fcc_bank(scaled, self.spec, self.L, self._rng_learners)
+        v, bits = self._up.fcc(scaled, self.L)
         self.e = scaled - v
         self.bits_up += bits
         self.msgs_up += self.n * self.L
         vbar = v.mean(axis=0)
-        s, bits = _fcc_bank(self.e_hat[None, :] + vbar[None, :], self.spec, self.L, [self._rng_server])
+        s, bits = self._down.fcc((self.e_hat + vbar)[None], self.L)
         s = s[0]
         self.e_hat += vbar - s
         self.bits_down += bits

@@ -133,52 +133,76 @@ def compress(spec: CompressorSpec, x, rng: np.random.Generator) -> CompressedMes
     return CompressedMessage(payload, bits)
 
 
-def _apply_bank(
-    spec: CompressorSpec, X: np.ndarray, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, int]:
-    """Compress row i of X with stream i, batched.
+_CHUNK = 256  # compressor calls whose randomness a sender bank draws at once
 
-    Draw-for-draw identical to applying :func:`_apply` per row, so traces do
-    not depend on which path an engine uses; returns (payloads, total bits).
+
+class _SenderBank:
+    """The n senders of one side (learners or server), one stream each.
+
+    ``apply(X)`` compresses row i of the (n, d) array X with stream i.
+    Compressor randomness never depends on the data, so the bank draws it for
+    ``_CHUNK`` calls at a time with one block draw per stream: ``random((C,
+    d))`` for randk and ``random(C)`` for gossip return the same numbers as C
+    per-call draws.  Payloads and bits therefore equal those of :func:`_apply`
+    on row i with stream i, call after call.
     """
-    n, d = X.shape
-    if isinstance(spec, Identity):
-        return X.copy(), n * 64 * d
-    if isinstance(spec, RandK):
-        if spec.k > d:
-            raise ConfigError("compressor", f"randk k={spec.k} exceeds dimension d={d}")
-        bits = n * spec.k * (64 + _index_bits(d))
-        if spec.k == d:
-            return X.copy(), bits
-        U = np.empty((n, d))
-        for i in range(n):
-            U[i] = rngs[i].random(d)
-        keep = np.argpartition(U, spec.k, axis=1)[:, : spec.k]
-        out = np.zeros_like(X)
-        np.put_along_axis(out, keep, np.take_along_axis(X, keep, axis=1), axis=1)
-        return out, bits
-    if isinstance(spec, ScaledSign):
-        scale = np.abs(X).sum(axis=1) / d
-        return np.where(X >= 0.0, scale[:, None], -scale[:, None]), n * (d + 64)
-    if isinstance(spec, RandomGossip):
-        ok = np.array([rngs[i].random() < spec.p for i in range(n)])
-        out = np.zeros_like(X)
-        out[ok] = X[ok]
-        return out, int(ok.sum()) * 64 * d + int((~ok).sum())
-    raise ConfigError("compressor", f"unknown compressor {spec!r}")
 
+    def __init__(self, spec: CompressorSpec, d: int, rngs: list[np.random.Generator]):
+        nominal_delta(spec, d)  # validates spec vs dimension
+        self.spec, self.d, self.rngs = spec, d, rngs
+        if isinstance(spec, RandK):
+            self._msg_bits = spec.k * (64 + _index_bits(d))
+        elif isinstance(spec, ScaledSign):
+            self._msg_bits = d + 64
+        else:  # identity, or a delivered gossip message
+            self._msg_bits = 64 * d
+        self._draws = isinstance(spec, RandomGossip) or (isinstance(spec, RandK) and spec.k < d)
+        self._chunk: np.ndarray | None = None  # drawn on first use, never at construction
+        self._used = _CHUNK  # calls served from the current chunk
 
-def _fcc_bank(
-    X: np.ndarray, spec: CompressorSpec, L: int, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, int]:
-    """Row-wise L-round residual compression; returns (residual sums, total bits)."""
-    R = np.zeros_like(X)
-    bits = 0
-    for _ in range(L):
-        payloads, b = _apply_bank(spec, X - R, rngs)
-        R += payloads
-        bits += b
-    return R, bits
+    def _next_draw(self) -> np.ndarray:
+        if self._used == _CHUNK:
+            self._chunk = self._draw_chunk()
+            self._used = 0
+        self._used += 1
+        return self._chunk[self._used - 1]
+
+    def _draw_chunk(self) -> np.ndarray:
+        """Per-call draws for the next chunk, indexed (call, sender, ...)."""
+        spec = self.spec
+        if isinstance(spec, RandomGossip):
+            U = np.stack([rng.random(_CHUNK) for rng in self.rngs], axis=1)
+            return (U < spec.p)[:, :, None]
+        # The k smallest of d i.i.d. uniforms index a uniform k-subset.
+        U = np.stack([rng.random((_CHUNK, self.d)) for rng in self.rngs], axis=1)
+        keep = np.argpartition(U, spec.k, axis=-1)[..., : spec.k]
+        mask = np.zeros(U.shape, dtype=bool)
+        np.put_along_axis(mask, keep, True, axis=-1)
+        return mask
+
+    def apply(self, X: np.ndarray) -> tuple[np.ndarray, int]:
+        """Compress each row once; returns (payloads, total bits)."""
+        n = X.shape[0]
+        if not self._draws:
+            if isinstance(self.spec, ScaledSign):
+                scale = np.abs(X).sum(axis=1, keepdims=True) / self.d
+                return np.where(X >= 0.0, scale, -scale), n * self._msg_bits
+            return X.copy(), n * self._msg_bits
+        keep = self._next_draw()
+        if isinstance(self.spec, RandK):
+            return np.where(keep, X, 0.0), n * self._msg_bits
+        sent = int(np.count_nonzero(keep))
+        return np.where(keep, X, 0.0), sent * self._msg_bits + (n - sent)
+
+    def fcc(self, X: np.ndarray, L: int) -> tuple[np.ndarray, int]:
+        """Row-wise L-round residual compression; returns (residual sums, total bits)."""
+        R = np.zeros_like(X)
+        bits = 0
+        for _ in range(L):
+            payloads, b = self.apply(X - R)
+            R += payloads
+            bits += b
+        return R, bits
 
 
 def fcc(
@@ -275,10 +299,12 @@ def derive_seed(seed: int, *ids: int) -> int:
 def entity_stream(seed: int, *ids: int) -> np.random.Generator:
     """Named random stream for one entity (learner, server, environment, ...).
 
-    Streams are hash-derived from (seed, *ids) and consumed sequentially in
-    round order by the single-threaded simulation loop, so identical seeds
-    reproduce identical payloads and traces, and distinct entities never share
-    a stream.
+    Streams are hash-derived from (seed, *ids), so identical seeds reproduce
+    identical payloads and traces, and distinct entities never share a stream.
+    Engines draw each stream's compressor randomness in fixed chunks of calls
+    ahead of use, which yields the same numbers as drawing per call; the
+    public :func:`compress` and :func:`fcc` draw per call from the stream they
+    are given.
     """
     ss = np.random.SeedSequence((int(seed),) + tuple(int(i) for i in ids))
     return np.random.default_rng(ss)

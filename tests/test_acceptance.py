@@ -24,6 +24,8 @@ from doco.harness import (
     verify_fcc_contraction,
 )
 
+pytestmark = pytest.mark.slow
+
 
 def _report(name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPT {name}: {'PASS' if ok else 'FAIL'} ({detail})", flush=True)

@@ -88,15 +88,19 @@ def test_dftcl_gossip_error_feedback_hand_trace():
     # failed transmission then a success: the success carries e + g exactly.
 
     class _Script:
+        """Serves block draws: the scripted values first, then padding."""
+
         def __init__(self, values):
             self.values = list(values)
 
-        def random(self, size=None):
-            assert size is None
-            return self.values.pop(0)
+        def random(self, size):
+            out = np.full(size, 0.5)
+            out.flat[: len(self.values)] = self.values
+            self.values = []
+            return out
 
     eng = Dftcl(Ball(10.0, 1), 1, RandomGossip(0.5), eta=1.0, unidirectional=True, seed=0)
-    eng._rng_learners = [_Script([0.9, 0.1])]  # fail, then succeed
+    eng._up.rngs = [_Script([0.9, 0.1])]  # fail, then succeed
     g1, g2 = np.array([[0.7]]), np.array([[-0.2]])
     info1 = eng.round(g1, collect=True)
     np.testing.assert_allclose(info1.v, [[0.0]])
@@ -472,3 +476,7 @@ def test_engine_parameter_validation():
         O2b(fs, 2, Identity(), 1, weights="linear", eta=0.1)
     with pytest.raises(ConfigError, match="exceeds dimension"):
         Dftcl(fs, 2, RandK(9), eta=0.1)
+    with pytest.raises(ConfigError, match="exceeds dimension"):
+        Dftfcl(fs, 2, RandK(9), 2, eta=0.1)
+    with pytest.raises(ConfigError, match="exceeds dimension"):
+        O2b(fs, 2, RandK(9), 2, eta=0.1)

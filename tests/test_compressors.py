@@ -10,8 +10,9 @@ from doco.compressors import (
     RandK,
     RandomGossip,
     ScaledSign,
+    _CHUNK,
+    _SenderBank,
     _apply,
-    _apply_bank,
     compress,
     compressor_label,
     contraction_stat,
@@ -255,15 +256,36 @@ def test_derive_seed_stable_and_collision_free():
     assert len(seeds) == 1000
 
 
-@pytest.mark.parametrize(
-    "spec", [Identity(), RandK(3), ScaledSign(), RandomGossip(0.4)]
-)
+BANK_SPECS = [Identity(), RandK(3), ScaledSign(), RandomGossip(0.4), RandK(8)]
+
+
+@pytest.mark.parametrize("spec", BANK_SPECS)
 def test_bank_compression_matches_per_call(spec):
+    # More consecutive calls than two chunks: the bank's pre-drawn randomness
+    # must line up with per-call draws across every refill.
     n, d = 5, 8
-    X = np.random.default_rng(0).standard_normal((n, d))
-    rngs_a = [entity_stream(9, 1, i) for i in range(n)]
-    rngs_b = [entity_stream(9, 1, i) for i in range(n)]
-    singles = [_apply(spec, X[i], rngs_a[i]) for i in range(n)]
-    bank_payloads, bank_bits = _apply_bank(spec, X, rngs_b)
-    np.testing.assert_array_equal(np.stack([p for p, _ in singles]), bank_payloads)
-    assert sum(b for _, b in singles) == bank_bits
+    calls = 2 * _CHUNK + 3
+    Xs = np.random.default_rng(0).standard_normal((calls, n, d))
+    rngs = [entity_stream(9, 1, i) for i in range(n)]
+    bank = _SenderBank(spec, d, [entity_stream(9, 1, i) for i in range(n)])
+    for X in Xs:
+        singles = [_apply(spec, X[i], rngs[i]) for i in range(n)]
+        bank_payloads, bank_bits = bank.apply(X)
+        np.testing.assert_array_equal(np.stack([p for p, _ in singles]), bank_payloads)
+        assert sum(b for _, b in singles) == bank_bits
+
+
+@pytest.mark.parametrize("spec", BANK_SPECS)
+def test_bank_fcc_matches_public_fcc(spec):
+    n, d, L = 3, 8, 5
+    updates = _CHUNK // L + 7  # the L-round loop crosses a chunk boundary
+    Xs = np.random.default_rng(1).standard_normal((updates, n, d))
+    rngs = [entity_stream(4, 2, i) for i in range(n)]
+    bank = _SenderBank(spec, d, [entity_stream(4, 2, i) for i in range(n)])
+    for X in Xs:
+        R, bits = bank.fcc(X, L)
+        for i in range(n):
+            r, msgs = fcc(X[i], spec, L, rngs[i])
+            np.testing.assert_array_equal(R[i], r)
+            bits -= sum(m.bits for m in msgs)
+        assert bits == 0
