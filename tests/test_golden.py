@@ -9,6 +9,12 @@ T is long enough that every compressor stream of every engine serves more
 than 512 compressor calls, so randomness drawn ahead in chunks of up to 256
 calls is refilled at least twice; this includes the blocked engine's server,
 which starts sending only in block 3, and o2b, which makes L calls per update.
+
+At N=3, D=4 and G=1 every learner-side value above is dyadic, so two orders
+of the same error-feedback arithmetic round alike and hash alike.  The
+``NON_DYADIC`` configs (d=5, curved environments, the unidirectional mode,
+o2b on a regularized problem) carry values that are not, so a reordering of
+that arithmetic changes their bytes.
 """
 
 import hashlib
@@ -74,6 +80,50 @@ RUN_SHA256 = {
     "o2b/lad/gossip:0.5/linear": "c21ce7a3d8f991a89ab25653ef1c4d6ed0ef8d19909ad15002ac611087c15f65",
 }
 
+NON_DYADIC = {
+    "dftcl/linear/randk:2/d5": RunConfig("dftcl", "linear", T, N, 5, "randk:2", seed=11),
+    "dftcl/linear/gossip:0.25/d5": RunConfig("dftcl", "linear", T, N, 5, "gossip:0.25", seed=11),
+    "dftfcl/linear/randk:2/d5": RunConfig("dftfcl", "linear", T, N, 5, "randk:2", seed=11),
+    "dftfcl/linear/gossip:0.25/d5": RunConfig("dftfcl", "linear", T, N, 5, "gossip:0.25", seed=11),
+    "dftcl/sc_quadratic/randk:2": RunConfig("dftcl", "sc_quadratic", T, N, D, "randk:2", mu=0.5, seed=11),
+    "dftcl/sc_quadratic/sign/eta": RunConfig("dftcl", "sc_quadratic", T, N, D, "sign", eta=0.3, mu=0.5, seed=11),
+    "dftfcl/sc_quadratic/gossip:0.25": RunConfig("dftfcl", "sc_quadratic", T, N, D, "gossip:0.25", mu=0.5, seed=11),
+    "dftcl/sc_lower/gossip:0.25": RunConfig("dftcl", "sc_lower", T, N, D, "gossip:0.25", mu=0.5, seed=11),
+    "dftfcl/sc_lower/randk:2": RunConfig("dftfcl", "sc_lower", T, N, D, "randk:2", mu=0.5, seed=11),
+    "dftcl/linear/randk:2/d5/unidirectional": RunConfig(
+        "dftcl", "linear", T, N, 5, "randk:2", unidirectional=True, seed=11
+    ),
+    "dftcl/convex_lower/gossip:0.25/unidirectional": RunConfig(
+        "dftcl", "convex_lower", T, N, D, "gossip:0.25", unidirectional=True, seed=11
+    ),
+    "o2b/lad/randk:2/uniform/mu+eta": RunConfig(
+        "o2b", "lad", T, N, D, "randk:2", eta=0.2, mu=0.3, samples=16, seed=11
+    ),
+    "o2b/lad/gossip:0.5/uniform/mu+eta/d5": RunConfig(
+        "o2b", "lad", T, N, 5, "gossip:0.5", eta=0.2, mu=0.3, samples=16, seed=11
+    ),
+    "o2b/lad/sign/linear/d5": RunConfig(
+        "o2b", "lad", T, N, 5, "sign", weights="linear", mu=0.5, samples=16, seed=11
+    ),
+}
+
+NON_DYADIC_SHA256 = {
+    "dftcl/linear/randk:2/d5": "cf494752e099442b9d775f7475c984764e802382f26e78d391eca06883f26131",
+    "dftcl/linear/gossip:0.25/d5": "ffabdb0fb24379cff7ae53fc43c02a505396324a5a6f7ee3c2f558ad6ae3049e",
+    "dftfcl/linear/randk:2/d5": "0054eb0821afe2c380dbeff602b777575c193378911082f0ba094a6cd4e1bca4",
+    "dftfcl/linear/gossip:0.25/d5": "9559877a2582ca7a3cf13ba456733c3dbe4683ccb7034e389208a6baf3ceaf8e",
+    "dftcl/sc_quadratic/randk:2": "14afe3e0a770aa484bd35a9e5193ec07600096e89ac24b58d395fd8fe37f6381",
+    "dftcl/sc_quadratic/sign/eta": "4e46fb33b997b4e972e0f5c94221ff1ad6c0a6a963bd749d93663285159a420f",
+    "dftfcl/sc_quadratic/gossip:0.25": "38e0f88c36be4611effda082f5a563c2c7e086dacb3e0611963e6c1f5b8331b7",
+    "dftcl/sc_lower/gossip:0.25": "371c606ca56f353b5f5da5943319b32830b642dbf02e887cc8c36110bc7056f5",
+    "dftfcl/sc_lower/randk:2": "79a9806d82619d2a0b576a40645f47daafe718b64ff390e01f00253b73d08f71",
+    "dftcl/linear/randk:2/d5/unidirectional": "a61b77943183c700b2ad614f0bf5a295abca9494a6ecd63ac336f9aa58a6f107",
+    "dftcl/convex_lower/gossip:0.25/unidirectional": "52d14814831fc2d6a6192a5fdd2d97fc5750c29f39c755239a87ad3f1e6a5534",
+    "o2b/lad/randk:2/uniform/mu+eta": "647e4382551766a0d4785618614636b87c236f4c4ac3ca4d5ba64cefeca58e61",
+    "o2b/lad/gossip:0.5/uniform/mu+eta/d5": "c94b4c129eb329b1198017fa11c9a626a48a4496d99d1f28928d2377cd2bccbc",
+    "o2b/lad/sign/linear/d5": "59313b08be1bf25e18ca8d3046b3c848e64d0eaa6a98b33e5f9e895113a3530c",
+}
+
 MC_SHA256 = {
     "dftcl/linear/randk:2": "7b9b92065a87747055c4b69fb45514fef353f495706aaf9214011cf3db2dc863",
     "dftcl/convex_lower/sign": "426fe43449422ca2fb69765d2457d6072762add0df2896926197f97c5103e55a",
@@ -93,6 +143,11 @@ def _sha(trace, tmp_path) -> str:
 @pytest.mark.parametrize("label", CONFIGS)
 def test_run_trace_bytes(label, tmp_path):
     assert _sha(run(_config(label)), tmp_path) == RUN_SHA256[label]
+
+
+@pytest.mark.parametrize("label", NON_DYADIC)
+def test_non_dyadic_run_trace_bytes(label, tmp_path):
+    assert _sha(run(NON_DYADIC[label]), tmp_path) == NON_DYADIC_SHA256[label]
 
 
 @pytest.mark.parametrize("label", REPLICATED)
