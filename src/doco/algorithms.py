@@ -16,6 +16,13 @@ update) by the harness:
   and feeds weighted surrogate losses to the online update; each update's
   transfer is an L-round residual compression (L communication rounds).
 
+All three are one error-feedback hop inside FTRL, held by a private base:
+the base owns the memories, the counters and the sender banks, sends the
+server leg (``_broadcast``: the same code for Dftcl with one round and O2b
+with L rounds) and takes the leader step (``_lead``).  Each engine sends its
+own learner leg, because Dftcl's ``e += g - v`` and O2b's ``e = (e + alpha g) - v``
+are both sound but round differently, and the traces pin those bits.
+
 Learner loops run in a fixed index order; the updates are order-independent,
 so this matches a parallel execution exactly.
 """
@@ -56,22 +63,61 @@ class UpdateInfo(NamedTuple):
     gbar: np.ndarray
 
 
-def _banks(spec, server_spec, d, n, seed):
-    """Sender banks of the n learners and of the server, on their entity streams."""
-    up = _SenderBank(spec, d, [entity_stream(seed, _LEARNER, i) for i in range(n)])
-    return up, _SenderBank(server_spec, d, [entity_stream(seed, _SERVER, 0)])
+class _Engine:
+    """What the three engines share: the validated step parameters, the
+    decision, the learner memories ``e`` (one row per learner), the server
+    memory ``e_hat``, the broadcast sum ``s_sum``, the anchor sum of the
+    strongly convex step, the counters, and both sides' sender banks.
+    """
+
+    def __init__(self, feasible, n, spec, server_spec, L, eta, mu, seed):
+        if (eta is None) == (mu is None):
+            raise ConfigError("eta", "exactly one of eta (convex) or mu (strongly convex) is required")
+        if eta is not None and not eta > 0:
+            raise ConfigError("eta", f"must be positive, got {eta}")
+        if mu is not None and not mu > 0:
+            raise ConfigError("mu", f"must be positive, got {mu}")
+        if n < 1:
+            raise ConfigError("n", f"must be >= 1, got {n}")
+        if L < 1:
+            raise ConfigError("L", f"must be >= 1, got {L}")
+        self.feasible, self.n, self.d, self.L = feasible, n, feasible.d, L
+        self.spec, self.server_spec = spec, server_spec
+        self.eta, self.mu = eta, mu
+        self.t = 0
+        self.decision = feasible.project(np.zeros(self.d))
+        self.e = np.zeros((n, self.d))
+        self.e_hat = np.zeros(self.d)
+        self.s_sum = np.zeros(self.d)
+        self.anchor_sum = np.zeros(self.d)
+        self.bits_up = 0
+        self.bits_down = 0
+        self.msgs_up = 0
+        self.msgs_down = 0
+        self._up = _SenderBank(spec, self.d, [entity_stream(seed, _LEARNER, i) for i in range(n)])
+        self._down = _SenderBank(server_spec, self.d, [entity_stream(seed, _SERVER, 0)])
+
+    def _broadcast(self, vbar: np.ndarray, rounds: int) -> np.ndarray:
+        """Server leg: send e_hat + vbar in ``rounds`` residual rounds, keep what
+        did not arrive in e_hat, and add the broadcast to s_sum."""
+        s, bits = self._down.send((self.e_hat + vbar)[None], rounds)
+        s = s[0]
+        self.e_hat += vbar - s
+        self.bits_down += bits
+        self.msgs_down += rounds
+        self.s_sum += s
+        return s
+
+    def _lead(self, mu: float | None, weight_total: float) -> None:
+        """Leader step on s_sum: the learning-rate step when mu is None, else
+        the strongly convex step with anchor curvature mu."""
+        if mu is None:
+            self.decision = ftrl_linear_step(self.feasible, self.s_sum, self.eta)
+        else:
+            self.decision = ftrl_strongly_convex_step(self.feasible, self.s_sum, self.anchor_sum, mu, weight_total)
 
 
-def _check_step_params(eta, mu):
-    if (eta is None) == (mu is None):
-        raise ConfigError("eta", "exactly one of eta (convex) or mu (strongly convex) is required")
-    if eta is not None and not eta > 0:
-        raise ConfigError("eta", f"must be positive, got {eta}")
-    if mu is not None and not mu > 0:
-        raise ConfigError("mu", f"must be positive, got {mu}")
-
-
-class Dftcl:
+class Dftcl(_Engine):
     """Bidirectionally compressed follow-the-leader with error feedback.
 
     Per round: learner i sends v_i = C(e_i + g_i) and sets e_i += g_i - v_i;
@@ -95,51 +141,24 @@ class Dftcl:
         unidirectional: bool = False,
         seed: int = 0,
     ):
-        _check_step_params(eta, mu)
-        if n < 1:
-            raise ConfigError("n", f"must be >= 1, got {n}")
-        self.feasible, self.n, self.d = feasible, n, feasible.d
-        self.spec = spec
-        self.server_spec: CompressorSpec = Identity() if unidirectional else spec
-        self.eta, self.mu = eta, mu
-        self.t = 0
-        self.decision = feasible.project(np.zeros(self.d))
-        self.e = np.zeros((n, self.d))
-        self.e_hat = np.zeros(self.d)
-        self.s_sum = np.zeros(self.d)
-        self.anchor_sum = np.zeros(self.d)
-        self.bits_up = 0
-        self.bits_down = 0
-        self.msgs_up = 0
-        self.msgs_down = 0
-        self._up, self._down = _banks(spec, self.server_spec, self.d, n, seed)
+        super().__init__(feasible, n, spec, Identity() if unidirectional else spec, 1, eta, mu, seed)
 
     def round(self, grads: np.ndarray, collect: bool = False) -> RoundInfo:
         """Advance one round given the (n, d) per-learner gradients at the played decision."""
         self.t += 1
         w_played = self.decision
-        v, bits = self._up.apply(self.e + grads)
+        v, bits = self._up.send(self.e + grads)
         self.e += grads - v
         self.bits_up += bits
         self.msgs_up += self.n
-        vbar = v.mean(axis=0)
-        s, bits = self._down.apply((self.e_hat + vbar)[None])
-        s = s[0]
-        self.e_hat += vbar - s
-        self.bits_down += bits
-        self.msgs_down += 1
-        self.s_sum += s
-        if self.mu is None:
-            self.decision = ftrl_linear_step(self.feasible, self.s_sum, self.eta)
-        else:
+        s = self._broadcast(v.mean(axis=0), 1)
+        if self.mu is not None:
             self.anchor_sum += w_played
-            self.decision = ftrl_strongly_convex_step(
-                self.feasible, self.s_sum, self.anchor_sum, self.mu, float(self.t)
-            )
+        self._lead(self.mu, float(self.t))
         return RoundInfo(w_played, v if collect else None, s.copy() if collect else None)
 
 
-class Dftfcl:
+class Dftfcl(_Engine):
     """Blocked variant: L-round residual compression amortized over each block.
 
     Rounds are grouped into blocks of length L during which the decision is
@@ -163,32 +182,15 @@ class Dftfcl:
         mu: float | None = None,
         seed: int = 0,
     ):
-        _check_step_params(eta, mu)
-        if n < 1:
-            raise ConfigError("n", f"must be >= 1, got {n}")
-        if L < 1:
-            raise ConfigError("L", f"must be >= 1, got {L}")
-        self.feasible, self.n, self.d, self.L = feasible, n, feasible.d, L
-        self.spec = spec
-        self.eta, self.mu = eta, mu
-        self.t = 0
+        super().__init__(feasible, n, spec, spec, L, eta, mu, seed)
+        self._mu_block = None if mu is None else mu * L  # anchor curvature of one block decision
         self.block = 1
         self._k = 0  # rounds completed within the current block
-        self.decision = feasible.project(np.zeros(self.d))
-        self.e = np.zeros((n, self.d))
-        self.e_hat = np.zeros(self.d)
-        self.s_sum = np.zeros(self.d)
-        self.anchor_sum = np.zeros(self.d)
         self._z_acc = np.zeros((n, self.d))
         self._up_payload = np.zeros((n, self.d))  # e^{b-1} + z^{b-1} being streamed
         self._up_r = np.zeros((n, self.d))
         self._down_payload = np.zeros(self.d)  # v^{b-2} + e_hat^{b-2} being streamed
         self._down_r = np.zeros(self.d)
-        self.bits_up = 0
-        self.bits_down = 0
-        self.msgs_up = 0
-        self.msgs_down = 0
-        self._up, self._down = _banks(spec, spec, self.d, n, seed)
 
     def round(self, grads: np.ndarray, collect: bool = False) -> RoundInfo:
         """Advance one round; pipeline completions happen on block boundaries."""
@@ -197,12 +199,12 @@ class Dftfcl:
         w_played = self.decision
         self._z_acc += grads
         if self.block >= 2:
-            payloads, bits = self._up.apply(self._up_payload - self._up_r)
+            payloads, bits = self._up.send(self._up_payload - self._up_r)
             self._up_r += payloads
             self.bits_up += bits
             self.msgs_up += self.n
         if self.block >= 3:
-            payload, bits = self._down.apply((self._down_payload - self._down_r)[None])
+            payload, bits = self._down.send((self._down_payload - self._down_r)[None])
             self._down_r += payload[0]
             self.bits_down += bits
             self.msgs_down += 1
@@ -225,12 +227,7 @@ class Dftfcl:
             s_done = self._down_r.copy()
             self.e_hat = self._down_payload - self._down_r
             self.s_sum += s_done
-            if self.mu is None:
-                self.decision = ftrl_linear_step(self.feasible, self.s_sum, self.eta)
-            else:
-                self.decision = ftrl_strongly_convex_step(
-                    self.feasible, self.s_sum, self.anchor_sum, self.mu * self.L, float(b)
-                )
+            self._lead(self._mu_block, float(b))
         if b >= 2:
             self._down_payload = vbar + self.e_hat
             self._down_r = np.zeros(self.d)
@@ -251,7 +248,7 @@ class Dftfcl:
         return w
 
 
-class O2b:
+class O2b(_Engine):
     """Anytime online-to-batch conversion with L-round compressed transfers.
 
     Each update t computes the weighted average iterate x^t of all online
@@ -281,58 +278,27 @@ class O2b:
             raise ConfigError("eta", "uniform weights take the learning-rate step; eta is required")
         if weights == "linear" and mu is None:
             raise ConfigError("mu", "linear weights take the strongly convex step; mu is required")
-        _check_step_params(eta, mu)
-        if n < 1:
-            raise ConfigError("n", f"must be >= 1, got {n}")
-        if L < 1:
-            raise ConfigError("L", f"must be >= 1, got {L}")
-        self.feasible, self.n, self.d, self.L = feasible, n, feasible.d, L
-        self.spec = spec
+        super().__init__(feasible, n, spec, spec, L, eta, mu, seed)
         self.weights = weights
-        self.eta, self.mu = eta, mu
-        self.t = 0
-        self.decision = feasible.project(np.zeros(self.d))
-        self.e = np.zeros((n, self.d))
-        self.e_hat = np.zeros(self.d)
-        self.s_sum = np.zeros(self.d)
         self._x_weighted = np.zeros(self.d)
-        self._anchor_weighted = np.zeros(self.d)
         self._alpha_total = 0.0
-        self.bits_up = 0
-        self.bits_down = 0
-        self.msgs_up = 0
-        self.msgs_down = 0
-        self._up, self._down = _banks(spec, spec, self.d, n, seed)
-
-    def _alpha(self, t: int) -> float:
-        return float(t) if self.weights == "linear" else 1.0
 
     def step(self, problem, rng: np.random.Generator) -> UpdateInfo:
         """One update: form x^t, query the problem's stochastic subgradients, communicate, step."""
         self.t += 1
-        alpha = self._alpha(self.t)
+        alpha = float(self.t) if self.weights == "linear" else 1.0
         w_played = self.decision
         self._x_weighted += alpha * w_played
         self._alpha_total += alpha
         x = self._x_weighted / self._alpha_total
         grads = problem.stochastic_grads(x, rng)
         scaled = self.e + alpha * grads
-        v, bits = self._up.fcc(scaled, self.L)
+        v, bits = self._up.send(scaled, self.L)
         self.e = scaled - v
         self.bits_up += bits
         self.msgs_up += self.n * self.L
-        vbar = v.mean(axis=0)
-        s, bits = self._down.fcc((self.e_hat + vbar)[None], self.L)
-        s = s[0]
-        self.e_hat += vbar - s
-        self.bits_down += bits
-        self.msgs_down += self.L
-        self.s_sum += s
-        if self.weights == "uniform":
-            self.decision = ftrl_linear_step(self.feasible, self.s_sum, self.eta)
-        else:
-            self._anchor_weighted += alpha * x
-            self.decision = ftrl_strongly_convex_step(
-                self.feasible, self.s_sum, self._anchor_weighted, self.mu, self._alpha_total
-            )
+        self._broadcast(v.mean(axis=0), self.L)
+        if self.mu is not None:  # linear weights: anchor at the iterates x^k
+            self.anchor_sum += alpha * x
+        self._lead(self.mu, self._alpha_total)
         return UpdateInfo(x, w_played, grads.mean(axis=0))

@@ -139,24 +139,26 @@ _CHUNK = 256  # compressor calls whose randomness a sender bank draws at once
 class _SenderBank:
     """The n senders of one side (learners or server), one stream each.
 
-    ``apply(X)`` compresses row i of the (n, d) array X with stream i.
+    ``send(X, rounds)`` compresses row i of the (n, d) array X with stream i.
     Compressor randomness never depends on the data, so the bank draws it for
     ``_CHUNK`` calls at a time with one block draw per stream: ``random((C,
     d))`` for randk and ``random(C)`` for gossip return the same numbers as C
     per-call draws.  Payloads and bits therefore equal those of :func:`_apply`
-    on row i with stream i, call after call.
+    (one round) and of :func:`fcc` (L rounds) on row i with stream i, call
+    after call.
     """
 
     def __init__(self, spec: CompressorSpec, d: int, rngs: list[np.random.Generator]):
         nominal_delta(spec, d)  # validates spec vs dimension
         self.spec, self.d, self.rngs = spec, d, rngs
+        self._gossip, self._sign = isinstance(spec, RandomGossip), isinstance(spec, ScaledSign)
         if isinstance(spec, RandK):
             self._msg_bits = spec.k * (64 + _index_bits(d))
-        elif isinstance(spec, ScaledSign):
+        elif self._sign:
             self._msg_bits = d + 64
         else:  # identity, or a delivered gossip message
             self._msg_bits = 64 * d
-        self._draws = isinstance(spec, RandomGossip) or (isinstance(spec, RandK) and spec.k < d)
+        self._draws = self._gossip or (isinstance(spec, RandK) and spec.k < d)
         self._chunk: np.ndarray | None = None  # drawn on first use, never at construction
         self._used = _CHUNK  # calls served from the current chunk
 
@@ -170,7 +172,7 @@ class _SenderBank:
     def _draw_chunk(self) -> np.ndarray:
         """Per-call draws for the next chunk, indexed (call, sender, ...)."""
         spec = self.spec
-        if isinstance(spec, RandomGossip):
+        if self._gossip:
             U = np.stack([rng.random(_CHUNK) for rng in self.rngs], axis=1)
             return (U < spec.p)[:, :, None]
         # The k smallest of d i.i.d. uniforms index a uniform k-subset.
@@ -180,29 +182,27 @@ class _SenderBank:
         np.put_along_axis(mask, keep, True, axis=-1)
         return mask
 
-    def apply(self, X: np.ndarray) -> tuple[np.ndarray, int]:
-        """Compress each row once; returns (payloads, total bits)."""
+    def send(self, X: np.ndarray, rounds: int = 1) -> tuple[np.ndarray, int]:
+        """Row-wise ``rounds``-round residual compression: round 1 compresses X,
+        each later round compresses X - R and adds it to R.  Returns (R, total bits)."""
         n = X.shape[0]
-        if not self._draws:
-            if isinstance(self.spec, ScaledSign):
-                scale = np.abs(X).sum(axis=1, keepdims=True) / self.d
-                return np.where(X >= 0.0, scale, -scale), n * self._msg_bits
-            return X.copy(), n * self._msg_bits
-        keep = self._next_draw()
-        if isinstance(self.spec, RandK):
-            return np.where(keep, X, 0.0), n * self._msg_bits
-        sent = int(np.count_nonzero(keep))
-        return np.where(keep, X, 0.0), sent * self._msg_bits + (n - sent)
-
-    def fcc(self, X: np.ndarray, L: int) -> tuple[np.ndarray, int]:
-        """Row-wise L-round residual compression; returns (residual sums, total bits)."""
-        R = np.zeros_like(X)
-        bits = 0
-        for _ in range(L):
-            payloads, b = self.apply(X - R)
-            R += payloads
-            bits += b
-        return R, bits
+        R, Y, bits = None, X, rounds * n * self._msg_bits
+        while True:
+            if self._draws:
+                keep = self._next_draw()
+                P = np.where(keep, Y, 0.0)
+                if self._gossip:  # a failed message costs one flag bit, not a full one
+                    bits -= (n - int(np.count_nonzero(keep))) * (self._msg_bits - 1)
+            elif self._sign:
+                scale = np.abs(Y).sum(axis=1, keepdims=True) / self.d
+                P = np.where(Y >= 0.0, scale, -scale)
+            else:
+                P = Y.copy()
+            R = P if R is None else R + P
+            if rounds <= 1:
+                return R, bits
+            rounds -= 1
+            Y = X - R
 
 
 def fcc(

@@ -27,6 +27,7 @@ import numpy as np
 from .algorithms import Dftcl, Dftfcl, O2b
 from .compressors import (
     CompressorSpec,
+    contraction_stat,
     derive_seed,
     entity_stream,
     nominal_delta,
@@ -292,15 +293,9 @@ def _fmt_count(x) -> str:
     return str(int(v)) if v.is_integer() else repr(v)
 
 
-@dataclass
-class RegretTrace:
-    """Sampled per-round trace of one run.
-
-    ``regret`` is cumulative average loss minus the cumulative loss of the
-    final best-in-hindsight decision; for online-to-batch runs the rows are
-    per update, ``t`` counts communication rounds, and ``subopt`` holds
-    f(x^t) - f*.
-    """
+@dataclass(kw_only=True)
+class _Trace:
+    """The sampled columns a trace writes to CSV, one row per sampled round."""
 
     t: np.ndarray
     cum_loss: np.ndarray
@@ -309,55 +304,10 @@ class RegretTrace:
     bits_up: np.ndarray
     bits_down: np.ndarray
     subopt: np.ndarray | None
-    approx_comparator: bool
-    comparator_point: np.ndarray
-    comparator_value: float
-    decisions: np.ndarray | None = None
-    iterates: np.ndarray | None = None
 
     @property
     def final_regret(self) -> float:
         return float(self.regret[-1])
-
-    def header(self) -> str:
-        base = "t,cum_loss,comparator,regret,bits_up,bits_down"
-        return base + (",subopt" if self.subopt is not None else "")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.header() + "\n")
-            for i in range(self.t.shape[0]):
-                row = (
-                    f"{int(self.t[i])},{_fmt(self.cum_loss[i])},{_fmt(self.comparator[i])},"
-                    f"{_fmt(self.regret[i])},{int(self.bits_up[i])},{int(self.bits_down[i])}"
-                )
-                if self.subopt is not None:
-                    row += f",{_fmt(self.subopt[i])}"
-                fh.write(row + "\n")
-
-
-@dataclass
-class MeanTrace:
-    """Pointwise mean of replicated traces plus standard errors for the key columns."""
-
-    t: np.ndarray
-    cum_loss: np.ndarray
-    comparator: np.ndarray
-    regret: np.ndarray
-    regret_stderr: np.ndarray
-    bits_up: np.ndarray
-    bits_down: np.ndarray
-    subopt: np.ndarray | None
-    subopt_stderr: np.ndarray | None
-    reps: int
-
-    @property
-    def final_regret(self) -> float:
-        return float(self.regret[-1])
-
-    @property
-    def final_regret_stderr(self) -> float:
-        return float(self.regret_stderr[-1])
 
     def header(self) -> str:
         base = "t,cum_loss,comparator,regret,bits_up,bits_down"
@@ -374,6 +324,36 @@ class MeanTrace:
                 if self.subopt is not None:
                     row += f",{_fmt(self.subopt[i])}"
                 fh.write(row + "\n")
+
+
+@dataclass(kw_only=True)
+class RegretTrace(_Trace):
+    """Sampled per-round trace of one run.
+
+    ``regret`` is cumulative average loss minus the cumulative loss of the
+    final best-in-hindsight decision; for online-to-batch runs the rows are
+    per update, ``t`` counts communication rounds, and ``subopt`` holds
+    f(x^t) - f*.
+    """
+
+    approx_comparator: bool
+    comparator_point: np.ndarray
+    comparator_value: float
+    decisions: np.ndarray | None = None
+    iterates: np.ndarray | None = None
+
+
+@dataclass(kw_only=True)
+class MeanTrace(_Trace):
+    """Pointwise mean of replicated traces plus standard errors for the key columns."""
+
+    regret_stderr: np.ndarray
+    subopt_stderr: np.ndarray | None
+    reps: int
+
+    @property
+    def final_regret_stderr(self) -> float:
+        return float(self.regret_stderr[-1])
 
 
 def run(config: RunConfig, keep_decisions: bool = False) -> RegretTrace:
@@ -607,8 +587,6 @@ def verify_fcc_contraction(
     seed: int = 0, trials: int = 5000, d: int = 64, spec: CompressorSpec | None = None
 ) -> VerifyReport:
     """Measured L-round residual error vs the (1 - delta)^L decay (default RandK d=64 k=8)."""
-    from .compressors import contraction_stat
-
     spec = RandK(8) if spec is None else spec
     delta = nominal_delta(spec, d)
     rng = entity_stream(seed, _ENV)
@@ -621,128 +599,102 @@ def verify_fcc_contraction(
     return VerifyReport("fcc_contraction", tuple(rows))
 
 
-def _error_energy_run(
-    algo: str,
-    seed: int,
-    seeds: int,
-    n: int,
-    d: int,
-    spec: CompressorSpec,
-    T: int,
-    L: int | None,
-):
-    """Seed-averaged per-round squared norms of both error memories."""
-    G, D = 1.0, 2.0
-    delta = nominal_delta(spec, d)
-    feasible = Ball(D / 2.0, d)
+def _error_energies(seeds: int, seed: int, T: int, build):
+    """Seed-averaged per-step squared norms of the mean learner memory and of the server memory.
+
+    ``build(s)`` builds an engine at replication seed s and returns it with a
+    function that advances it by step t.
+    """
     e_sq = np.zeros(T)
     ehat_sq = np.zeros(T)
     for r in range(seeds):
-        s = derive_seed(seed, _REP, r)
-        env = envs.make_linear_adversary(n, d, T, G, derive_seed(s, _ENV))
-        if algo == "dftcl":
-            eta = delta * D / (G * math.sqrt(T))
-            eng = Dftcl(feasible, n, spec, eta=eta, seed=s)
-        else:
-            eta = D / (G * math.sqrt(L * T))
-            eng = Dftfcl(feasible, n, spec, L, eta=eta, seed=s)
+        eng, advance = build(derive_seed(seed, _REP, r))
         for t in range(1, T + 1):
-            eng.round(env.grads(t, eng.decision))
+            advance(t)
             ebar = eng.e.mean(axis=0)
             e_sq[t - 1] += float(ebar @ ebar)
             ehat_sq[t - 1] += float(eng.e_hat @ eng.e_hat)
-    return e_sq / seeds, ehat_sq / seeds, delta, G
+    return e_sq / seeds, ehat_sq / seeds
+
+
+def _energy_rows(step: str, e_sq, e_bound: float, ehat_sq, ehat_bound: float) -> tuple:
+    """The two rows of an error-energy check: the peak of each mean energy against its cap."""
+    rows = []
+    for name, energy, bound in (("e", e_sq, e_bound), ("e_hat", ehat_sq, ehat_bound)):
+        peak = float(energy.max())
+        rows.append(VerifyRow(f"max_{step} mean ||{name}||^2", peak, bound, bound - peak, peak <= bound))
+    return tuple(rows)
 
 
 def verify_dftcl_errors(
     seed: int = 0, seeds: int = 50, spec: CompressorSpec | None = None
 ) -> VerifyReport:
     """Error-memory energies of the per-round algorithm vs their closed-form caps."""
-    n, d, T = 8, 16, 2000
+    n, d, T, G, D = 8, 16, 2000, 1.0, 2.0
     spec = RandK(4) if spec is None else spec
-    e_sq, ehat_sq, delta, G = _error_energy_run("dftcl", seed, seeds, n, d, spec, T, None)
+    delta = nominal_delta(spec, d)
+    eta = delta * D / (G * math.sqrt(T))
+
+    def build(s):
+        env = envs.make_linear_adversary(n, d, T, G, derive_seed(s, _ENV))
+        eng = Dftcl(Ball(D / 2.0, d), n, spec, eta=eta, seed=s)
+        return eng, lambda t: eng.round(env.grads(t, eng.decision))
+
+    e_sq, ehat_sq = _error_energies(seeds, seed, T, build)
     e_bound = 4.0 * (1.0 - delta) * G**2 / delta**2
     ehat_bound = 160.0 * (1.0 - delta) * G**2 / delta**4
-    rows = (
-        VerifyRow("max_t mean ||e||^2", float(e_sq.max()), e_bound, e_bound - e_sq.max(), e_sq.max() <= e_bound),
-        VerifyRow(
-            "max_t mean ||e_hat||^2",
-            float(ehat_sq.max()),
-            ehat_bound,
-            ehat_bound - ehat_sq.max(),
-            ehat_sq.max() <= ehat_bound,
-        ),
-    )
-    return VerifyReport("dftcl_errors", rows)
+    return VerifyReport("dftcl_errors", _energy_rows("t", e_sq, e_bound, ehat_sq, ehat_bound))
 
 
 def verify_dftfcl_errors(
     seed: int = 0, seeds: int = 50, spec: CompressorSpec | None = None, L: int | None = None
 ) -> VerifyReport:
     """Block-algorithm error energies vs the residual-compression caps (L = ceil(1/delta))."""
-    n, d, T = 8, 16, 2000
+    n, d, T, G, D = 8, 16, 2000, 1.0, 2.0
     spec = RandK(4) if spec is None else spec
     if L is None:
         L = math.ceil(1.0 / nominal_delta(spec, d))
-    e_sq, ehat_sq, _, G = _error_energy_run("dftfcl", seed, seeds, n, d, spec, T, L)
+    eta = D / (G * math.sqrt(L * T))
+
+    def build(s):
+        env = envs.make_linear_adversary(n, d, T, G, derive_seed(s, _ENV))
+        eng = Dftfcl(Ball(D / 2.0, d), n, spec, L, eta=eta, seed=s)
+        return eng, lambda t: eng.round(env.grads(t, eng.decision))
+
+    e_sq, ehat_sq = _error_energies(seeds, seed, T, build)
     e_bound = 4.0 * math.e**2 * L**2 * G**2
     ehat_bound = 120.0 * math.e**2 * L**2 * G**2
-    rows = (
-        VerifyRow("max_b mean ||e||^2", float(e_sq.max()), e_bound, e_bound - e_sq.max(), e_sq.max() <= e_bound),
-        VerifyRow(
-            "max_b mean ||e_hat||^2",
-            float(ehat_sq.max()),
-            ehat_bound,
-            ehat_bound - ehat_sq.max(),
-            ehat_sq.max() <= ehat_bound,
-        ),
-    )
-    return VerifyReport("dftfcl_errors", rows)
+    return VerifyReport("dftfcl_errors", _energy_rows("b", e_sq, e_bound, ehat_sq, ehat_bound))
 
 
 def verify_o2b_errors(seed: int = 0, seeds: int = 20) -> VerifyReport:
-    """Online-to-batch error energies (uniform weights) vs the residual-compression caps."""
+    """Online-to-batch error energies (uniform weights, RandK(2)) vs the residual-compression caps."""
     n, d, k, L, K, samples = 4, 8, 2, 4, 256, 32
-    spec = RandK(k)
     feasible = Box(np.zeros(d), np.ones(d))
-    e_sq = np.zeros(K)
-    ehat_sq = np.zeros(K)
     G = math.sqrt(d)
-    for r in range(seeds):
-        s = derive_seed(seed, _REP, r)
+
+    def build(s):
         problem = envs.make_lad_problem(n, d, samples, feasible, derive_seed(s, _ENV))
         eta = feasible.diameter() / (problem.G * math.sqrt(K))
-        eng = O2b(feasible, n, spec, L, weights="uniform", eta=eta, seed=s)
+        eng = O2b(feasible, n, RandK(k), L, weights="uniform", eta=eta, seed=s)
         rng = entity_stream(s, _ORACLE)
-        for t in range(1, K + 1):
-            eng.step(problem, rng)
-            ebar = eng.e.mean(axis=0)
-            e_sq[t - 1] += float(ebar @ ebar)
-            ehat_sq[t - 1] += float(eng.e_hat @ eng.e_hat)
-    e_sq /= seeds
-    ehat_sq /= seeds
+        return eng, lambda t: eng.step(problem, rng)
+
+    e_sq, ehat_sq = _error_energies(seeds, seed, K, build)
     e_bound = 4.0 * math.e**2 * G**2  # alpha_t = 1
     ehat_bound = 120.0 * math.e**2 * G**2
-    rows = (
-        VerifyRow("max_t mean ||e||^2", float(e_sq.max()), e_bound, e_bound - e_sq.max(), e_sq.max() <= e_bound),
-        VerifyRow(
-            "max_t mean ||e_hat||^2",
-            float(ehat_sq.max()),
-            ehat_bound,
-            ehat_bound - ehat_sq.max(),
-            ehat_sq.max() <= ehat_bound,
-        ),
-    )
-    return VerifyReport("o2b_errors", rows)
+    return VerifyReport("o2b_errors", _energy_rows("t", e_sq, e_bound, ehat_sq, ehat_bound))
 
 
 def verify_lemma(lemma_id: str, seed: int = 0, spec: CompressorSpec | None = None) -> VerifyReport:
     if lemma_id == "fcc_contraction":
-        return verify_fcc_contraction(seed, spec=spec) if spec is not None else verify_fcc_contraction(seed)
+        return verify_fcc_contraction(seed, spec=spec)
     if lemma_id == "dftcl_errors":
         return verify_dftcl_errors(seed, spec=spec)
     if lemma_id == "dftfcl_errors":
         return verify_dftfcl_errors(seed, spec=spec)
     if lemma_id == "o2b_errors":
+        if spec is not None:
+            raise ConfigError("compressor", "the o2b_errors check runs randk:2 only; it takes no override")
         return verify_o2b_errors(seed)
     raise ConfigError("lemma", f"unknown id {lemma_id!r}; expected one of {VERIFY_IDS}")

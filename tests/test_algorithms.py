@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from doco.algorithms import Dftcl, Dftfcl, O2b
-from doco.compressors import Identity, RandK, RandomGossip, entity_stream
+from doco.compressors import Identity, RandK, RandomGossip, ScaledSign, entity_stream
 from doco.domains import Ball, Box, ConfigError
 from doco.environments import make_linear_adversary, make_sc_quadratic_adversary
 
@@ -441,6 +441,86 @@ def test_o2b_bits_count_l_rounds_per_update():
     assert eng.msgs_down == K * L
     assert eng.bits_up == K * n * L * per_msg
     assert eng.bits_down == K * L * per_msg
+
+
+# ---------------------------------------------------------------------------
+# Every engine x every compressor: memories, bits and counters
+# ---------------------------------------------------------------------------
+
+
+class _Recorder:
+    """Wraps a sender bank and keeps every (R, bits, rows, rounds) it sends."""
+
+    def __init__(self, bank):
+        self.bank, self.sends = bank, []
+
+    def send(self, X, rounds=1):
+        R, bits = self.bank.send(X, rounds)
+        self.sends.append((R.copy(), bits, X.shape[0], rounds))
+        return R, bits
+
+    def total(self, upto=None):
+        """Sum of what the first ``upto`` sends (default: all) delivered, per sender."""
+        return sum((R for R, *_ in self.sends[:upto]), np.zeros((len(self.bank.rngs), self.bank.d)))
+
+    def bits(self):
+        return sum(b for _, b, _, _ in self.sends)
+
+    def msgs(self):
+        return sum(rows * rounds for _, _, rows, rounds in self.sends)
+
+
+ENGINE_SPECS = [Identity(), RandK(2), ScaledSign(), RandomGossip(0.4)]
+
+
+@pytest.mark.parametrize("spec", ENGINE_SPECS, ids=["identity", "randk", "sign", "gossip"])
+@pytest.mark.parametrize("algo", ["dftcl", "dftfcl", "o2b"])
+def test_engine_memories_telescope_and_counters_are_exact(algo, spec):
+    n, d, L, steps = 3, 5, 3, 60
+    fs = Ball(1.0, d)
+    grads = np.random.default_rng(3).normal(size=(steps, n, d))
+    if algo == "dftcl":
+        eng = Dftcl(fs, n, spec, eta=0.3, seed=4)
+    elif algo == "dftfcl":
+        eng = Dftfcl(fs, n, spec, L, eta=0.3, seed=4)
+    else:
+        eng = O2b(fs, n, spec, L, weights="uniform", eta=0.3, seed=4)
+        stub = _StubProblem(grads)
+    up, down = eng._up, eng._down = _Recorder(eng._up), _Recorder(eng._down)
+    up_before_block = 0  # up sends made before the current block started (dftfcl)
+    for t in range(1, steps + 1):
+        if algo == "o2b":
+            eng.step(stub, np.random.default_rng(0))
+        else:
+            eng.round(grads[t - 1])
+        if algo == "dftfcl":
+            if t % L:
+                continue
+            # At the end of block b the learners have streamed blocks 1..b-1
+            # and the server has broadcast what they had streamed by block b-1.
+            fed = grads[: t - L].sum(axis=0)
+            consumed = up.total(up_before_block).mean(axis=0)
+            up_before_block = len(up.sends)
+        else:  # every step is one completed transfer (uniform weights: alpha = 1)
+            fed = grads[:t].sum(axis=0)
+            consumed = up.total().mean(axis=0)
+        np.testing.assert_allclose(eng.e, fed - up.total(), atol=1e-9)
+        np.testing.assert_allclose(eng.e_hat, consumed - down.total()[0], atol=1e-9)
+        np.testing.assert_allclose(eng.s_sum, down.total()[0], atol=1e-9)
+
+    rounds = {"dftcl": 1, "dftfcl": 1, "o2b": L}[algo]
+    skipped = {"dftcl": (0, 0), "dftfcl": (L, 2 * L), "o2b": (0, 0)}[algo]  # dftfcl's warm-up rounds
+    assert eng.msgs_up == up.msgs() == n * rounds * (steps - skipped[0])
+    assert eng.msgs_down == down.msgs() == rounds * (steps - skipped[1])
+    assert (eng.bits_up, eng.bits_down) == (up.bits(), down.bits())
+    for bits, msgs in ((eng.bits_up, eng.msgs_up), (eng.bits_down, eng.msgs_down)):
+        if isinstance(spec, RandomGossip):
+            # Delivered messages cost 64 d bits and failed ones one flag bit.
+            delivered, rest = divmod(bits - msgs, 64 * d - 1)
+            assert rest == 0 and 0 < delivered < msgs
+        else:
+            per_msg = {Identity: 64 * d, RandK: 2 * (64 + 3), ScaledSign: d + 64}[type(spec)]
+            assert bits == msgs * per_msg
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,15 @@ def test_verify_unknown_id_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_o2b_errors_rejects_a_compressor_override(capsys):
+    # The o2b check runs its own randk:2; an override must not be dropped silently.
+    rc = main(["verify", "o2b_errors", "--compressor", "sign"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "compressor" in captured.err
+
+
 def test_verify_failure_exits_one(monkeypatch, capsys):
     import doco.cli as cli
     from doco.harness import VerifyReport, VerifyRow

@@ -270,7 +270,7 @@ def test_bank_compression_matches_per_call(spec):
     bank = _SenderBank(spec, d, [entity_stream(9, 1, i) for i in range(n)])
     for X in Xs:
         singles = [_apply(spec, X[i], rngs[i]) for i in range(n)]
-        bank_payloads, bank_bits = bank.apply(X)
+        bank_payloads, bank_bits = bank.send(X)
         np.testing.assert_array_equal(np.stack([p for p, _ in singles]), bank_payloads)
         assert sum(b for _, b in singles) == bank_bits
 
@@ -283,7 +283,7 @@ def test_bank_fcc_matches_public_fcc(spec):
     rngs = [entity_stream(4, 2, i) for i in range(n)]
     bank = _SenderBank(spec, d, [entity_stream(4, 2, i) for i in range(n)])
     for X in Xs:
-        R, bits = bank.fcc(X, L)
+        R, bits = bank.send(X, L)
         for i in range(n):
             r, msgs = fcc(X[i], spec, L, rngs[i])
             np.testing.assert_array_equal(R[i], r)

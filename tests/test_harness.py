@@ -249,3 +249,16 @@ def test_verify_dftcl_errors_lossless_degenerate():
     report = harness.verify_dftcl_errors(seeds=2, spec=Identity())
     assert report.ok
     assert all(row.measured == 0.0 and row.bound == 0.0 for row in report.rows)
+
+
+def test_verify_rows_carry_plain_floats_and_bools():
+    reports = [
+        harness.verify_dftcl_errors(seeds=1),
+        harness.verify_dftfcl_errors(seeds=1),
+        harness.verify_o2b_errors(seeds=1),
+        harness.verify_fcc_contraction(trials=50),
+    ]
+    for report in reports:
+        for row in report.rows:
+            assert type(row.measured) is float and type(row.bound) is float
+            assert type(row.margin) is float and type(row.ok) is bool
