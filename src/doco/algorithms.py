@@ -24,7 +24,8 @@ own learner leg, because Dftcl's ``e += g - v`` and O2b's ``e = (e + alpha g) - 
 are both sound but round differently, and the traces pin those bits.
 
 Learner loops run in a fixed index order; the updates are order-independent,
-so this matches a parallel execution exactly.
+so this matches a parallel execution exactly.  Given a tuple of seeds, an
+engine advances one replication per seed in lockstep (see ``_Engine``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .compressors import (
     _SenderBank,
     entity_stream,
 )
-from .domains import ConfigError, FeasibleSet, ftrl_linear_step, ftrl_strongly_convex_step
+from .domains import ConfigError, FeasibleSet
 
 __all__ = ["Dftcl", "Dftfcl", "O2b", "RoundInfo", "UpdateInfo"]
 
@@ -68,6 +69,15 @@ class _Engine:
     decision, the learner memories ``e`` (one row per learner), the server
     memory ``e_hat``, the broadcast sum ``s_sum``, the anchor sum of the
     strongly convex step, the counters, and both sides' sender banks.
+
+    An int ``seed`` makes one replication: ``decision`` has shape (d,), ``e``
+    (n, d), and the bit counters are ints.  A tuple of seeds advances one
+    replication per seed in lockstep: every state array gains a leading
+    replication axis, so ``decision`` is (R, d) and ``e`` (R, n, d), the bit
+    counters hold one int per replication, and replication r computes exactly
+    what a single engine at seed r computes.  The step code is written over
+    that leading axis (learner means over axis -2, row-wise projection), so
+    both layouts run the same lines.
     """
 
     def __init__(self, feasible, n, spec, server_spec, L, eta, mu, seed):
@@ -84,24 +94,26 @@ class _Engine:
         self.feasible, self.n, self.d, self.L = feasible, n, feasible.d, L
         self.spec, self.server_spec = spec, server_spec
         self.eta, self.mu = eta, mu
+        seeds, lead = (seed, (len(seed),)) if isinstance(seed, tuple) else ((seed,), ())
         self.t = 0
-        self.decision = feasible.project(np.zeros(self.d))
-        self.e = np.zeros((n, self.d))
-        self.e_hat = np.zeros(self.d)
-        self.s_sum = np.zeros(self.d)
-        self.anchor_sum = np.zeros(self.d)
-        self.bits_up = 0
-        self.bits_down = 0
-        self.msgs_up = 0
+        self.decision = feasible.project(np.zeros(lead + (self.d,)))
+        self.e = np.zeros(lead + (n, self.d))
+        self.e_hat = np.zeros(lead + (self.d,))
+        self.s_sum = np.zeros(lead + (self.d,))
+        self.anchor_sum = np.zeros(lead + (self.d,))
+        self.bits_up = np.zeros(lead, dtype=np.int64) if lead else 0
+        self.bits_down = np.zeros(lead, dtype=np.int64) if lead else 0
+        self.msgs_up = 0  # per replication: every replication sends the same messages
         self.msgs_down = 0
-        self._up = _SenderBank(spec, self.d, [entity_stream(seed, _LEARNER, i) for i in range(n)])
-        self._down = _SenderBank(server_spec, self.d, [entity_stream(seed, _SERVER, 0)])
+        up = [entity_stream(s, _LEARNER, i) for s in seeds for i in range(n)]
+        self._up = _SenderBank(spec, self.d, up, lead + (n,))
+        self._down = _SenderBank(server_spec, self.d, [entity_stream(s, _SERVER, 0) for s in seeds], lead + (1,))
 
     def _broadcast(self, vbar: np.ndarray, rounds: int) -> np.ndarray:
         """Server leg: send e_hat + vbar in ``rounds`` residual rounds, keep what
         did not arrive in e_hat, and add the broadcast to s_sum."""
-        s, bits = self._down.send((self.e_hat + vbar)[None], rounds)
-        s = s[0]
+        s, bits = self._down.send((self.e_hat + vbar)[..., None, :], rounds)
+        s = s[..., 0, :]
         self.e_hat += vbar - s
         self.bits_down += bits
         self.msgs_down += rounds
@@ -110,11 +122,18 @@ class _Engine:
 
     def _lead(self, mu: float | None, weight_total: float) -> None:
         """Leader step on s_sum: the learning-rate step when mu is None, else
-        the strongly convex step with anchor curvature mu."""
+        the strongly convex step with anchor curvature mu.  The arithmetic of
+        :func:`ftrl_linear_step` and :func:`ftrl_strongly_convex_step`, without
+        their per-call input checks: the run drivers check finiteness per chunk."""
         if mu is None:
-            self.decision = ftrl_linear_step(self.feasible, self.s_sum, self.eta)
+            self.decision = self.feasible.project(-(self.eta / 2.0) * self.s_sum)
         else:
-            self.decision = ftrl_strongly_convex_step(self.feasible, self.s_sum, self.anchor_sum, mu, weight_total)
+            self.decision = self.feasible.project((mu * self.anchor_sum - self.s_sum) / (mu * weight_total))
+
+    def _learner_mean(self, v: np.ndarray) -> np.ndarray:
+        """Mean over the learner axis; ``v.mean(axis=-2)`` gives the same bits
+        through numpy's slower Python wrapper."""
+        return np.add.reduce(v, axis=-2) / self.n
 
 
 class Dftcl(_Engine):
@@ -139,7 +158,7 @@ class Dftcl(_Engine):
         eta: float | None = None,
         mu: float | None = None,
         unidirectional: bool = False,
-        seed: int = 0,
+        seed: int | tuple[int, ...] = 0,
     ):
         super().__init__(feasible, n, spec, Identity() if unidirectional else spec, 1, eta, mu, seed)
 
@@ -151,7 +170,7 @@ class Dftcl(_Engine):
         self.e += grads - v
         self.bits_up += bits
         self.msgs_up += self.n
-        s = self._broadcast(v.mean(axis=0), 1)
+        s = self._broadcast(self._learner_mean(v), 1)
         if self.mu is not None:
             self.anchor_sum += w_played
         self._lead(self.mu, float(self.t))
@@ -180,17 +199,17 @@ class Dftfcl(_Engine):
         *,
         eta: float | None = None,
         mu: float | None = None,
-        seed: int = 0,
+        seed: int | tuple[int, ...] = 0,
     ):
         super().__init__(feasible, n, spec, spec, L, eta, mu, seed)
         self._mu_block = None if mu is None else mu * L  # anchor curvature of one block decision
         self.block = 1
         self._k = 0  # rounds completed within the current block
-        self._z_acc = np.zeros((n, self.d))
-        self._up_payload = np.zeros((n, self.d))  # e^{b-1} + z^{b-1} being streamed
-        self._up_r = np.zeros((n, self.d))
-        self._down_payload = np.zeros(self.d)  # v^{b-2} + e_hat^{b-2} being streamed
-        self._down_r = np.zeros(self.d)
+        self._z_acc = np.zeros(self.e.shape)
+        self._up_payload = np.zeros(self.e.shape)  # e^{b-1} + z^{b-1} being streamed
+        self._up_r = np.zeros(self.e.shape)
+        self._down_payload = np.zeros(self.e_hat.shape)  # v^{b-2} + e_hat^{b-2} being streamed
+        self._down_r = np.zeros(self.e_hat.shape)
 
     def round(self, grads: np.ndarray, collect: bool = False) -> RoundInfo:
         """Advance one round; pipeline completions happen on block boundaries."""
@@ -204,8 +223,8 @@ class Dftfcl(_Engine):
             self.bits_up += bits
             self.msgs_up += self.n
         if self.block >= 3:
-            payload, bits = self._down.send((self._down_payload - self._down_r)[None])
-            self._down_r += payload[0]
+            payload, bits = self._down.send((self._down_payload - self._down_r)[..., None, :])
+            self._down_r += payload[..., 0, :]
             self.bits_down += bits
             self.msgs_down += 1
         v_done = s_done = None
@@ -222,7 +241,7 @@ class Dftfcl(_Engine):
         if b >= 2:
             v_done = self._up_r.copy()
             self.e = self._up_payload - self._up_r
-            vbar = v_done.mean(axis=0)
+            vbar = self._learner_mean(v_done)
         if b >= 3:
             s_done = self._down_r.copy()
             self.e_hat = self._down_payload - self._down_r
@@ -230,10 +249,10 @@ class Dftfcl(_Engine):
             self._lead(self._mu_block, float(b))
         if b >= 2:
             self._down_payload = vbar + self.e_hat
-            self._down_r = np.zeros(self.d)
+            self._down_r = np.zeros(self.e_hat.shape)
         self._up_payload = self.e + self._z_acc
-        self._up_r = np.zeros((self.n, self.d))
-        self._z_acc = np.zeros((self.n, self.d))
+        self._up_r = np.zeros(self.e.shape)
+        self._z_acc = np.zeros(self.e.shape)
         self.block += 1
         self._k = 0
         return v_done, s_done
@@ -270,7 +289,7 @@ class O2b(_Engine):
         weights: str = "uniform",
         eta: float | None = None,
         mu: float | None = None,
-        seed: int = 0,
+        seed: int | tuple[int, ...] = 0,
     ):
         if weights not in ("uniform", "linear"):
             raise ConfigError("weights", f"must be 'uniform' or 'linear', got {weights!r}")
@@ -280,11 +299,14 @@ class O2b(_Engine):
             raise ConfigError("mu", "linear weights take the strongly convex step; mu is required")
         super().__init__(feasible, n, spec, spec, L, eta, mu, seed)
         self.weights = weights
-        self._x_weighted = np.zeros(self.d)
+        self._x_weighted = np.zeros(self.decision.shape)
         self._alpha_total = 0.0
 
     def step(self, problem, rng: np.random.Generator) -> UpdateInfo:
-        """One update: form x^t, query the problem's stochastic subgradients, communicate, step."""
+        """One update: form x^t, query the problem's stochastic subgradients, communicate, step.
+
+        In lockstep, ``problem.stochastic_grads`` receives the (R, d) iterates
+        with ``rng`` and returns (R, n, d) subgradients."""
         self.t += 1
         alpha = float(self.t) if self.weights == "linear" else 1.0
         w_played = self.decision
@@ -297,8 +319,8 @@ class O2b(_Engine):
         self.e = scaled - v
         self.bits_up += bits
         self.msgs_up += self.n * self.L
-        self._broadcast(v.mean(axis=0), self.L)
+        self._broadcast(self._learner_mean(v), self.L)
         if self.mu is not None:  # linear weights: anchor at the iterates x^k
             self.anchor_sum += alpha * x
         self._lead(self.mu, self._alpha_total)
-        return UpdateInfo(x, w_played, grads.mean(axis=0))
+        return UpdateInfo(x, w_played, self._learner_mean(grads))

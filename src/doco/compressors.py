@@ -137,20 +137,24 @@ _CHUNK = 256  # compressor calls whose randomness a sender bank draws at once
 
 
 class _SenderBank:
-    """The n senders of one side (learners or server), one stream each.
+    """The senders of one side (learners or server), one stream each.
 
-    ``send(X, rounds)`` compresses row i of the (n, d) array X with stream i.
-    Compressor randomness never depends on the data, so the bank draws it for
-    ``_CHUNK`` calls at a time with one block draw per stream: ``random((C,
-    d))`` for randk and ``random(C)`` for gossip return the same numbers as C
-    per-call draws.  Payloads and bits therefore equal those of :func:`_apply`
-    (one round) and of :func:`fcc` (L rounds) on row i with stream i, call
-    after call.
+    ``shape`` lays the senders out as payload rows: ``(n,)`` for the n senders
+    of one replication, ``(R, n)`` for R replications advanced in lockstep, with
+    ``rngs`` listed replication by replication (default: one row per stream).
+    ``send(X, rounds)`` compresses the row of X, shape ``shape + (d,)``, of each
+    sender with that sender's stream.  Compressor randomness never depends on
+    the data, so the bank draws it for ``_CHUNK`` calls at a time with one block
+    draw per stream: ``random((C, d))`` for randk and ``random(C)`` for gossip
+    return the same numbers as C per-call draws.  Payloads and bits therefore
+    equal those of :func:`_apply` (one round) and of :func:`fcc` (L rounds) on
+    each row with its stream, call after call.
     """
 
-    def __init__(self, spec: CompressorSpec, d: int, rngs: list[np.random.Generator]):
+    def __init__(self, spec: CompressorSpec, d: int, rngs: list[np.random.Generator], shape: tuple | None = None):
         nominal_delta(spec, d)  # validates spec vs dimension
         self.spec, self.d, self.rngs = spec, d, rngs
+        self._shape = (len(rngs),) if shape is None else shape
         self._gossip, self._sign = isinstance(spec, RandomGossip), isinstance(spec, ScaledSign)
         if isinstance(spec, RandK):
             self._msg_bits = spec.k * (64 + _index_bits(d))
@@ -158,43 +162,53 @@ class _SenderBank:
             self._msg_bits = d + 64
         else:  # identity, or a delivered gossip message
             self._msg_bits = 64 * d
+        self._call_bits = self._shape[-1] * self._msg_bits  # one round of one replication's senders
         self._draws = self._gossip or (isinstance(spec, RandK) and spec.k < d)
-        self._chunk: np.ndarray | None = None  # drawn on first use, never at construction
+        self._keep: np.ndarray | None = None  # drawn on first use, never at construction
+        self._saved = None  # gossip: bits the failed messages of each call save, per replication
         self._used = _CHUNK  # calls served from the current chunk
 
-    def _next_draw(self) -> np.ndarray:
+    def _next_call(self) -> int:
+        """Index of the next call's draws in the current chunk, drawing a chunk when one is used up."""
         if self._used == _CHUNK:
-            self._chunk = self._draw_chunk()
+            self._draw_chunk()
             self._used = 0
         self._used += 1
-        return self._chunk[self._used - 1]
+        return self._used - 1
 
-    def _draw_chunk(self) -> np.ndarray:
-        """Per-call draws for the next chunk, indexed (call, sender, ...)."""
-        spec = self.spec
+    def _draw_chunk(self) -> None:
+        """Per-call keep-masks for the next chunk, indexed (call, *shape, coordinate)."""
+        spec, lead = self.spec, (_CHUNK,) + self._shape
         if self._gossip:
             U = np.stack([rng.random(_CHUNK) for rng in self.rngs], axis=1)
-            return (U < spec.p)[:, :, None]
+            keep = (U < spec.p).reshape(lead)
+            # A failed message costs one flag bit, not a full one.
+            saved = (self._shape[-1] - np.count_nonzero(keep, axis=-1)) * (self._msg_bits - 1)
+            self._saved = saved.tolist() if len(self._shape) == 1 else saved
+            self._keep = keep[..., None]
+            return
         # The k smallest of d i.i.d. uniforms index a uniform k-subset.
         U = np.stack([rng.random((_CHUNK, self.d)) for rng in self.rngs], axis=1)
         keep = np.argpartition(U, spec.k, axis=-1)[..., : spec.k]
         mask = np.zeros(U.shape, dtype=bool)
         np.put_along_axis(mask, keep, True, axis=-1)
-        return mask
+        self._keep = mask.reshape(lead + (self.d,))
 
-    def send(self, X: np.ndarray, rounds: int = 1) -> tuple[np.ndarray, int]:
+    def send(self, X: np.ndarray, rounds: int = 1):
         """Row-wise ``rounds``-round residual compression: round 1 compresses X,
-        each later round compresses X - R and adds it to R.  Returns (R, total bits)."""
-        n = X.shape[0]
-        R, Y, bits = None, X, rounds * n * self._msg_bits
+        each later round compresses X - R and adds it to R.  Returns (R, bits),
+        bits being what one replication's senders spent in total: an int, or for
+        gossip in lockstep an int array with one entry per replication, since
+        their failed messages differ."""
+        R, Y, bits = None, X, rounds * self._call_bits
         while True:
             if self._draws:
-                keep = self._next_draw()
-                P = np.where(keep, Y, 0.0)
-                if self._gossip:  # a failed message costs one flag bit, not a full one
-                    bits -= (n - int(np.count_nonzero(keep))) * (self._msg_bits - 1)
+                i = self._next_call()
+                P = np.where(self._keep[i], Y, 0.0)
+                if self._gossip:
+                    bits -= self._saved[i]
             elif self._sign:
-                scale = np.abs(Y).sum(axis=1, keepdims=True) / self.d
+                scale = np.abs(Y).sum(axis=-1, keepdims=True) / self.d
                 P = np.where(Y >= 0.0, scale, -scale)
             else:
                 P = Y.copy()

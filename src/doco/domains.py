@@ -10,6 +10,7 @@ projections closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -35,8 +36,11 @@ class ConfigError(ValueError):
     """Invalid configuration; ``field`` names the offending parameter."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
+        self.field, self.message = field, message
         super().__init__(f"{field}: {message}")
+
+    def __reduce__(self):  # pickles through a process pool with both arguments
+        return type(self), (self.field, self.message)
 
 
 def as_decision(x, d: int | None = None, field: str = "vector") -> np.ndarray:
@@ -76,6 +80,7 @@ class Box:
         return float(np.linalg.norm(self.hi - self.lo))
 
     def project(self, x: np.ndarray) -> np.ndarray:
+        """Project each row of x, shape (..., d)."""
         return np.clip(x, self.lo, self.hi)
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
@@ -99,10 +104,17 @@ class Ball:
         return 2.0 * self.radius
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        nrm = float(np.linalg.norm(x))
-        if nrm <= self.radius:
-            return np.asarray(x, dtype=np.float64)
-        return (self.radius / nrm) * np.asarray(x, dtype=np.float64)
+        """Project each row of x, shape (..., d): rows inside stay, rows outside
+        scale by radius / norm.  A row's squared norm is ``x.dot(x)``, which is
+        also what ``np.linalg.norm`` computes; for stacked rows the self-matmul
+        gives the same bits, where ``np.linalg.norm(x, axis=-1)`` or ``einsum``
+        sum in another order."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            nrm = math.sqrt(x.dot(x))
+            return x if nrm <= self.radius else (self.radius / nrm) * x
+        nrm = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+        return (self.radius / np.maximum(nrm, self.radius))[..., None] * x
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
         return float(np.linalg.norm(x)) <= self.radius + tol

@@ -271,21 +271,9 @@ class LadProblem:
         mu: float = 0.0,
     ):
         _check_positive(n=n, d=d, samples_per_learner=samples_per_learner)
-        if not isinstance(feasible, Box):
-            raise ConfigError("set", "least-absolute-deviation data needs a box domain")
-        if feasible.d != d:
-            raise ConfigError("set", f"dimension mismatch: box is {feasible.d}-d, expected {d}")
-        if mu < 0:
-            raise ConfigError("mu", f"must be >= 0, got {mu}")
-        self.n, self.d, self.samples = n, d, samples_per_learner
-        self.feasible = feasible
-        self.mu = float(mu)
-        self.center = (feasible.lo + feasible.hi) / 2.0
+        self._check_domain(d, feasible, mu)
         rng = np.random.default_rng(seed)
-        self._a = rng.uniform(feasible.lo, feasible.hi, size=(n, samples_per_learner, d))
-        half_diam = feasible.diameter() / 2.0
-        self.G = math.sqrt(d) + self.mu * half_diam
-        self._optimum = self._solve_exact()
+        self._set_data(rng.uniform(feasible.lo, feasible.hi, size=(n, samples_per_learner, d)), feasible, mu)
 
     @classmethod
     def from_data(cls, data, feasible: FeasibleSet, mu: float = 0.0) -> "LadProblem":
@@ -293,10 +281,31 @@ class LadProblem:
         a = np.asarray(data, dtype=np.float64)
         if a.ndim != 3:
             raise ConfigError("data", f"expected (n, samples, d) shards, got shape {a.shape}")
-        problem = cls(a.shape[0], a.shape[2], a.shape[1], feasible, seed=0, mu=mu)
-        problem._a = a
-        problem._optimum = problem._solve_exact()
+        n, samples, d = a.shape
+        _check_positive(n=n, d=d, samples_per_learner=samples)
+        cls._check_domain(d, feasible, mu)
+        problem = cls.__new__(cls)
+        problem._set_data(a, feasible, mu)
         return problem
+
+    @staticmethod
+    def _check_domain(d: int, feasible: FeasibleSet, mu: float) -> None:
+        if not isinstance(feasible, Box):
+            raise ConfigError("set", "least-absolute-deviation data needs a box domain")
+        if feasible.d != d:
+            raise ConfigError("set", f"dimension mismatch: box is {feasible.d}-d, expected {d}")
+        if mu < 0:
+            raise ConfigError("mu", f"must be >= 0, got {mu}")
+
+    def _set_data(self, a: np.ndarray, feasible: Box, mu: float) -> None:
+        """Hold the shards ``a``, shape (n, samples, d), and solve for the exact optimum."""
+        self.n, self.samples, self.d = a.shape
+        self.feasible = feasible
+        self.mu = float(mu)
+        self.center = (feasible.lo + feasible.hi) / 2.0
+        self._a = a
+        self.G = math.sqrt(self.d) + self.mu * (feasible.diameter() / 2.0)
+        self._optimum = self._solve_exact()
 
     # -- oracles ---------------------------------------------------------
 

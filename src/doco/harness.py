@@ -3,7 +3,8 @@
 A :class:`RunConfig` names the algorithm, environment, compressor, and scale
 parameters of one experiment.  :func:`run` executes it deterministically for a
 given seed and returns a :class:`RegretTrace`; :func:`monte_carlo` averages
-replications over hash-derived seeds; :func:`fit_rate` extracts log-log slope
+replications over hash-derived seeds, advancing them in lockstep batches that
+produce the same bytes as one run per seed; :func:`fit_rate` extracts log-log slope
 and fit quality for scaling studies.  The ``verify_*`` drivers measure the
 compression-loop contraction and the error-memory energies against their
 closed-form caps and report pass/fail with margins.
@@ -358,15 +359,59 @@ class MeanTrace(_Trace):
 
 def run(config: RunConfig, keep_decisions: bool = False) -> RegretTrace:
     """Execute one deterministic run and assemble its regret trace."""
-    plan = _resolve(config)
-    if plan.cfg.algo == "o2b":
-        return _run_o2b(plan, keep_decisions)
-    return _run_online(plan, keep_decisions)
+    return _run_batch(config, (config.seed,), keep_decisions)[0]
 
 
-def _run_online(plan: _Plan, keep_decisions: bool) -> RegretTrace:
-    cfg, env = plan.cfg, plan.env
-    T, d = env.T, env.d
+_BATCH = 16  # most replications one engine advances in lockstep; each holds its own environment
+_CHECK_ROUNDS = 256  # rounds (o2b: updates) between finiteness checks of the recorded paths
+
+
+def _run_batch(config: RunConfig, seeds: tuple, keep_decisions: bool = False) -> list[RegretTrace]:
+    """Run one replication of ``config`` per seed, advanced in lockstep by one engine.
+
+    Trace r is byte for byte the trace of a run at ``seeds[r]``: replication
+    r keeps its own environment and streams.  A batch of one runs the engine
+    without the replication axis.
+    """
+    plans = [_resolve(replace(config, seed=s)) for s in seeds]
+    if config.algo == "o2b":
+        return _run_o2b(plans, keep_decisions)
+    return _run_online(plans, keep_decisions)
+
+
+class _Lockstep:
+    """Per-replication environments (or lad problems) seen as one: row r of
+    every argument and of every result belongs to replication r."""
+
+    def __init__(self, members: list):
+        self.members = members
+
+    def grads(self, t: int, W: np.ndarray) -> np.ndarray:
+        return np.array([env.grads(t, w) for env, w in zip(self.members, W)])
+
+    def stochastic_grads(self, X: np.ndarray, rngs: list) -> np.ndarray:
+        return np.array([p.stochastic_grads(x, rng) for p, x, rng in zip(self.members, X, rngs)])
+
+
+def _engine_seed(plans: list[_Plan]):
+    """The engine's seed argument: an int for a batch of one, else the tuple of seeds."""
+    seeds = tuple(plan.cfg.seed for plan in plans)
+    return seeds if len(seeds) > 1 else seeds[0]
+
+
+def _check_finite(field: str, rows: np.ndarray, first: int, plans: list[_Plan], step: str = "round") -> None:
+    """Raise ConfigError naming the first round (o2b: update) whose recorded
+    vector is not finite; ``rows``, shape (steps, R, d), holds steps first, first + 1, ..."""
+    ok = np.isfinite(rows).all(axis=-1)
+    if not ok.all():
+        t, r = np.argwhere(~ok)[0]
+        raise ConfigError(field, f"not finite from {step} {first + t} on (seed {plans[r].cfg.seed})")
+
+
+def _run_online(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
+    plan, R = plans[0], len(plans)
+    cfg, env = plan.cfg, plan.env if R == 1 else _Lockstep([p.env for p in plans])
+    T, d, seed = plan.env.T, plan.env.d, _engine_seed(plans)
     if cfg.algo == "dftcl":
         eng = Dftcl(
             plan.feasible,
@@ -375,50 +420,60 @@ def _run_online(plan: _Plan, keep_decisions: bool) -> RegretTrace:
             eta=plan.eta,
             mu=plan.mu_step,
             unidirectional=cfg.unidirectional,
-            seed=cfg.seed,
+            seed=seed,
         )
         engine_rounds = T
     else:
-        eng = Dftfcl(plan.feasible, cfg.n, plan.spec, plan.L, eta=plan.eta, mu=plan.mu_step, seed=cfg.seed)
+        eng = Dftfcl(plan.feasible, cfg.n, plan.spec, plan.L, eta=plan.eta, mu=plan.mu_step, seed=seed)
         engine_rounds = (T // plan.L) * plan.L
-    W = np.empty((T, d))
-    bits_up = np.empty(T, dtype=np.int64)
-    bits_down = np.empty(T, dtype=np.int64)
-    for t in range(1, engine_rounds + 1):
-        w = eng.decision
-        W[t - 1] = w
-        eng.round(env.grads(t, w))
-        bits_up[t - 1] = eng.bits_up
-        bits_down[t - 1] = eng.bits_down
+    W = np.empty((T, R, d))
+    bits_up = np.empty((T, R), dtype=np.int64)
+    bits_down = np.empty((T, R), dtype=np.int64)
+    for start in range(0, engine_rounds, _CHECK_ROUNDS):
+        stop = min(start + _CHECK_ROUNDS, engine_rounds)
+        for t in range(start + 1, stop + 1):
+            w = eng.decision
+            W[t - 1] = w
+            eng.round(env.grads(t, w))
+            bits_up[t - 1] = eng.bits_up
+            bits_down[t - 1] = eng.bits_down
+        _check_finite("decision", W[start:stop], start + 1, plans)
     # Tail rounds past the last full block replay the last decision, silently.
-    for t in range(engine_rounds + 1, T + 1):
-        W[t - 1] = eng.decision
-        bits_up[t - 1] = eng.bits_up
-        bits_down[t - 1] = eng.bits_down
+    W[engine_rounds:] = eng.decision
+    bits_up[engine_rounds:] = eng.bits_up
+    bits_down[engine_rounds:] = eng.bits_down
+    _check_finite("decision", W[engine_rounds:], engine_rounds + 1, plans)
 
-    cum = np.cumsum(env.mean_loss_path(W))
-    hind = best_in_hindsight(plan.feasible, env.hindsight())
-    comp_curve = np.cumsum(env.mean_loss_curve(hind.point))
-    regret = cum - comp_curve
     idx = _sample_rounds(T) - 1
-    return RegretTrace(
-        t=idx + 1,
-        cum_loss=cum[idx],
-        comparator=comp_curve[idx],
-        regret=regret[idx],
-        bits_up=bits_up[idx],
-        bits_down=bits_down[idx],
-        subopt=None,
-        approx_comparator=hind.approx,
-        comparator_point=hind.point,
-        comparator_value=hind.value,
-        decisions=W[idx] if keep_decisions else None,
-    )
+    traces = []
+    for r, plan in enumerate(plans):
+        Wr = np.ascontiguousarray(W[:, r])
+        cum = np.cumsum(plan.env.mean_loss_path(Wr))
+        hind = best_in_hindsight(plan.feasible, plan.env.hindsight())
+        comp_curve = np.cumsum(plan.env.mean_loss_curve(hind.point))
+        regret = cum - comp_curve
+        traces.append(
+            RegretTrace(
+                t=idx + 1,
+                cum_loss=cum[idx],
+                comparator=comp_curve[idx],
+                regret=regret[idx],
+                bits_up=bits_up[idx, r],
+                bits_down=bits_down[idx, r],
+                subopt=None,
+                approx_comparator=hind.approx,
+                comparator_point=hind.point,
+                comparator_value=hind.value,
+                decisions=Wr[idx] if keep_decisions else None,
+            )
+        )
+    return traces
 
 
-def _run_o2b(plan: _Plan, keep_decisions: bool) -> RegretTrace:
-    cfg, problem = plan.cfg, plan.env
-    K, L, d = plan.K, plan.L, problem.d
+def _run_o2b(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
+    plan, R = plans[0], len(plans)
+    cfg = plan.cfg
+    K, L, d = plan.K, plan.L, plan.env.d
     eng = O2b(
         plan.feasible,
         cfg.n,
@@ -427,23 +482,39 @@ def _run_o2b(plan: _Plan, keep_decisions: bool) -> RegretTrace:
         weights=cfg.weights,
         eta=plan.eta,
         mu=plan.mu_step,
-        seed=cfg.seed,
+        seed=_engine_seed(plans),
     )
-    oracle_rng = entity_stream(cfg.seed, _ORACLE)
-    X = np.empty((K, d))
-    Wp = np.empty((K, d))
-    gbar = np.empty((K, d))
-    bits_up = np.empty(K, dtype=np.int64)
-    bits_down = np.empty(K, dtype=np.int64)
-    for t in range(1, K + 1):
-        info = eng.step(problem, oracle_rng)
-        X[t - 1] = info.x
-        Wp[t - 1] = info.w_played
-        gbar[t - 1] = info.gbar
-        bits_up[t - 1] = eng.bits_up
-        bits_down[t - 1] = eng.bits_down
+    oracle_rngs = [entity_stream(p.cfg.seed, _ORACLE) for p in plans]
+    problem, oracle_rng = (plan.env, oracle_rngs[0]) if R == 1 else (_Lockstep([p.env for p in plans]), oracle_rngs)
+    X = np.empty((K, R, d))
+    Wp = np.empty((K, R, d))
+    gbar = np.empty((K, R, d))
+    bits_up = np.empty((K, R), dtype=np.int64)
+    bits_down = np.empty((K, R), dtype=np.int64)
+    for start in range(0, K, _CHECK_ROUNDS):
+        stop = min(start + _CHECK_ROUNDS, K)
+        for t in range(start + 1, stop + 1):
+            info = eng.step(problem, oracle_rng)
+            X[t - 1] = info.x
+            Wp[t - 1] = info.w_played
+            gbar[t - 1] = info.gbar
+            bits_up[t - 1] = eng.bits_up
+            bits_down[t - 1] = eng.bits_down
+        for field, rows in (("gradient", gbar), ("decision", Wp), ("iterate", X)):
+            _check_finite(field, rows[start:stop], start + 1, plans, "update")
 
     alphas = np.arange(1, K + 1, dtype=np.float64) if cfg.weights == "linear" else np.ones(K)
+    idx = _sample_rounds(K) - 1
+    traces = []
+    for r, plan in enumerate(plans):
+        Xr, Wpr, gbarr = (np.ascontiguousarray(a[:, r]) for a in (X, Wp, gbar))
+        traces.append(_o2b_trace(plan, alphas, Xr, Wpr, gbarr, idx, bits_up[idx, r], bits_down[idx, r], keep_decisions))
+    return traces
+
+
+def _o2b_trace(plan: _Plan, alphas, X, Wp, gbar, idx, bits_up, bits_down, keep_decisions) -> RegretTrace:
+    """One o2b replication's surrogate regret and suboptimality, sampled at ``idx``."""
+    cfg, problem = plan.cfg, plan.env
     losses = alphas * np.einsum("td,td->t", gbar, Wp)
     if cfg.weights == "linear":
         losses += 0.5 * plan.mu_step * alphas * ((Wp - X) ** 2).sum(axis=1)
@@ -471,14 +542,13 @@ def _run_o2b(plan: _Plan, keep_decisions: bool) -> RegretTrace:
 
     _, fstar = problem.optimum()
     subopt = problem.value_path(X) - fstar
-    idx = _sample_rounds(K) - 1
     return RegretTrace(
-        t=(idx + 1) * L,
+        t=(idx + 1) * plan.L,
         cum_loss=cum[idx],
         comparator=comp_curve[idx],
         regret=(cum - comp_curve)[idx],
-        bits_up=bits_up[idx],
-        bits_down=bits_down[idx],
+        bits_up=bits_up,
+        bits_down=bits_down,
         subopt=subopt[idx],
         approx_comparator=hind.approx,
         comparator_point=hind.point,
@@ -488,24 +558,27 @@ def _run_o2b(plan: _Plan, keep_decisions: bool) -> RegretTrace:
     )
 
 
-def _run_rep(args) -> RegretTrace:
-    config, rep_seed = args
-    return run(replace(config, seed=rep_seed, reps=1))
-
-
 def monte_carlo(config: RunConfig, reps: int | None = None, workers: int | None = None) -> MeanTrace:
-    """Average ``reps`` replications; replication r runs at seed hash(seed, r)."""
+    """Average ``reps`` replications; replication r runs at seed hash(seed, r).
+
+    Replications are split into contiguous batches of near-equal size, at
+    least one per worker and at most ``_BATCH`` replications each; each batch
+    advances in lockstep (see :func:`_run_batch`).  The bytes depend on
+    neither ``workers`` nor the split.
+    """
     reps = config.reps if reps is None else reps
     workers = config.workers if workers is None else workers
     reps = _require_positive_int("reps", reps)
     workers = _require_positive_int("workers", workers)
     seeds = [derive_seed(config.seed, _REP, r) for r in range(reps)]
-    jobs = [(config, s) for s in seeds]
-    if workers > 1 and reps > 1:
+    nb = min(reps, max(workers, math.ceil(reps / _BATCH)))
+    batches = [tuple(seeds[i * reps // nb : (i + 1) * reps // nb]) for i in range(nb)]
+    if workers > 1 and nb > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_rep, jobs))
+            results = list(pool.map(_run_batch, [config] * nb, batches))
     else:
-        traces = [_run_rep(j) for j in jobs]
+        results = [_run_batch(config, batch) for batch in batches]
+    traces = [tr for batch in results for tr in batch]
     regret = np.stack([tr.regret for tr in traces])
     out = MeanTrace(
         t=traces[0].t,

@@ -560,3 +560,65 @@ def test_engine_parameter_validation():
         Dftfcl(fs, 2, RandK(9), 2, eta=0.1)
     with pytest.raises(ConfigError, match="exceeds dimension"):
         O2b(fs, 2, RandK(9), 2, eta=0.1)
+
+
+# ---------------------------------------------------------------------------
+# Replications in lockstep: a batch of engines is R single-seed engines
+# ---------------------------------------------------------------------------
+
+
+class _Oracle:
+    """Stochastic oracle of fixed base gradients plus half the query point, so
+    the gradients depend on the path; ``r`` picks one replication's rows."""
+
+    def __init__(self, base, r=None):
+        self.base, self.r, self.calls = base, r, 0
+
+    def stochastic_grads(self, x, rng):
+        g = self.base[self.calls] if self.r is None else self.base[self.calls, self.r]
+        self.calls += 1
+        return g + 0.5 * x[..., None, :]
+
+
+def _lockstep_engine(kind, fs, n, spec, seed):
+    L = 3
+    return {
+        "dftcl": lambda: Dftcl(fs, n, spec, eta=0.3, seed=seed),
+        "dftcl_unidirectional": lambda: Dftcl(fs, n, spec, eta=0.3, unidirectional=True, seed=seed),
+        "dftcl_mu": lambda: Dftcl(fs, n, spec, mu=0.7, seed=seed),
+        "dftfcl": lambda: Dftfcl(fs, n, spec, L, eta=0.3, seed=seed),
+        "o2b": lambda: O2b(fs, n, spec, L, weights="uniform", eta=0.3, seed=seed),
+        "o2b_linear": lambda: O2b(fs, n, spec, L, weights="linear", mu=0.7, seed=seed),
+    }[kind]()
+
+
+@pytest.mark.parametrize("set_kind", ["box", "ball"])
+@pytest.mark.parametrize("spec", ENGINE_SPECS, ids=["identity", "randk", "sign", "gossip"])
+@pytest.mark.parametrize(
+    "kind", ["dftcl", "dftcl_unidirectional", "dftcl_mu", "dftfcl", "o2b", "o2b_linear"]
+)
+def test_lockstep_batch_equals_single_seed_engines(kind, spec, set_kind):
+    n, d, R = 3, 5, 3
+    steps = 90 if kind.startswith("o2b") else 270  # every stream refills its chunk of draws
+    fs = Ball(0.8, d) if set_kind == "ball" else Box(-0.6 * np.ones(d), 0.4 * np.ones(d))
+    seeds = (11, 12, 13)
+    batch = _lockstep_engine(kind, fs, n, spec, seeds)
+    singles = [_lockstep_engine(kind, fs, n, spec, s) for s in seeds]
+    assert len(batch._up.rngs) == R * n and batch.decision.shape == (R, d)
+    base = np.random.default_rng(7).normal(size=(steps, R, n, d))
+    oracles = [_Oracle(base)] + [_Oracle(base, r) for r in range(R)]
+    for t in range(steps):
+        for r, eng in [(None, batch)] + list(enumerate(singles)):
+            if kind.startswith("o2b"):
+                eng.step(oracles[0 if r is None else r + 1], None)
+            else:
+                g = base[t] if r is None else base[t, r]
+                eng.round(g + 0.5 * eng.decision[..., None, :])
+        for r, eng in enumerate(singles):
+            for name in ("decision", "e", "e_hat", "s_sum", "anchor_sum"):
+                assert getattr(batch, name)[r].tobytes() == getattr(eng, name).tobytes(), (t, r, name)
+            assert (batch.bits_up[r], batch.bits_down[r]) == (eng.bits_up, eng.bits_down)
+            assert (batch.msgs_up, batch.msgs_down) == (eng.msgs_up, eng.msgs_down)
+    for eng in singles:  # the single-seed engines keep their plain layout
+        assert eng.decision.shape == (d,) and eng.e.shape == (n, d) and eng.e_hat.shape == (d,)
+        assert all(type(c) is int for c in (eng.bits_up, eng.bits_down, eng.msgs_up, eng.msgs_down))

@@ -33,6 +33,22 @@ def test_run_missing_horizon_names_key(tmp_path, capsys):
     assert "T" in err and "required" in err
 
 
+def test_run_non_finite_decisions_exit_two(tmp_path, monkeypatch, capsys):
+    import doco.environments as envs
+
+    class NanGradients(envs.LinearAdversary):
+        def grads(self, t, w):
+            return super().grads(t, w) * (np.nan if t >= 37 else 1.0)
+
+    monkeypatch.setattr(envs, "make_linear_adversary", lambda *args: NanGradients(*args))
+    out = tmp_path / "x.csv"
+    args = ["run", "--T", "300", "--n", "2", "--d", "3", "--reps", "3", "--workers", "2", "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "decision" in err and "round 38" in err
+    assert not out.exists()
+
+
 def test_run_same_seed_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["run", "--T", "64", "--n", "3", "--d", "8", "--compressor", "randk:2", "--seed", "7"]

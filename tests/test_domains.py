@@ -134,6 +134,36 @@ def test_projection_nonexpansive_and_feasible(data, d, use_ball):
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 33),
+    R=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    use_ball=st.booleans(),
+)
+def test_projection_is_row_wise_bit_for_bit(d, R, seed, use_ball):
+    # A stack of rows projects as each row does alone, to the last bit, and a
+    # lone row projects as the norm-scaled row np.linalg.norm gives.
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(R, d)) * rng.choice([0.0, 0.01, 0.3, 1.0, 3.0, 1e3], size=(R, 1))
+    if use_ball:
+        feasible = Ball(float(rng.uniform(0.1, 3.0)), d)
+    else:
+        feasible = Box(-rng.uniform(0.0, 2.0, d), rng.uniform(0.0, 2.0, d))
+    P = feasible.project(X)
+    assert P.shape == (R, d)
+    assert feasible.project(X[None]).tobytes() == P.tobytes()
+    for r in range(R):
+        assert feasible.project(X[r]).tobytes() == P[r].tobytes()
+        if use_ball:
+            nrm = float(np.linalg.norm(X[r]))
+            alone = X[r] if nrm <= feasible.radius else (feasible.radius / nrm) * X[r]
+        else:
+            alone = np.minimum(np.maximum(X[r], feasible.lo), feasible.hi)
+        np.testing.assert_array_equal(P[r], alone)
+        assert feasible.contains(P[r], tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Leader steps
 # ---------------------------------------------------------------------------

@@ -240,6 +240,26 @@ def test_lad_identical_data_optimum_zero():
     assert f_star == 0.0
 
 
+def test_lad_from_data_builds_from_the_given_shards_only(monkeypatch):
+    data = np.random.default_rng(8).uniform(0.0, 1.0, size=(3, 5, 2))
+    box = Box(np.zeros(2), np.ones(2))
+    for mu in (0.0, 0.4):
+        # Reference: a drawn problem whose shards are then replaced.
+        ref = LadProblem(3, 2, 5, box, seed=0, mu=mu)
+        ref._a = data
+        ref._optimum = ref._solve_exact()
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", lambda *a, **k: pytest.fail("from_data drew a dataset"))
+            problem = LadProblem.from_data(data, box, mu=mu)
+        (x, f), (x_ref, f_ref) = problem.optimum(), ref.optimum()
+        assert x.tobytes() == x_ref.tobytes() and f == f_ref
+        assert problem.G == ref.G and (problem.n, problem.samples, problem.d) == (3, 5, 2)
+        probe = np.array([0.3, 0.9])
+        assert problem.value(probe) == ref.value(probe)
+    with pytest.raises(ConfigError, match="set"):
+        LadProblem.from_data(data, Box(np.zeros(3), np.ones(3)))
+
+
 def test_lad_subgradient_above_all_data():
     problem = make_lad_problem(2, 4, 8, Box(np.zeros(4), np.ones(4)), seed=0)
     x = 2.0 * np.ones(4)  # outside the data range; sign is +1 everywhere

@@ -7,7 +7,7 @@ import pytest
 import doco.harness as harness
 from doco.compressors import Identity, RandK, derive_seed
 from doco.domains import Ball, Box, ConfigError
-from doco.environments import make_linear_adversary, make_sc_quadratic_adversary
+from doco.environments import LadProblem, LinearAdversary, make_linear_adversary, make_sc_quadratic_adversary
 from doco.harness import (
     MeanTrace,
     RunConfig,
@@ -88,7 +88,7 @@ def test_run_zero_losses_zero_regret():
     plan = harness._resolve(RunConfig(T=64, n=2, d=3, compressor="identity", seed=0))
     plan.env._g[:] = 0.0
     plan.env._gbar[:] = 0.0
-    trace = harness._run_online(plan, keep_decisions=False)
+    trace = harness._run_online([plan], keep_decisions=False)[0]
     np.testing.assert_array_equal(trace.cum_loss, np.zeros(64))
     np.testing.assert_array_equal(trace.regret, np.zeros(64))
 
@@ -171,7 +171,7 @@ def test_monte_carlo_single_rep_equals_run_at_derived_seed():
 def test_monte_carlo_mean_of_constant_traces(monkeypatch):
     cfg = RunConfig(T=10, seed=0)
     fixed = run(cfg)
-    monkeypatch.setattr(harness, "run", lambda config, keep_decisions=False: fixed)
+    monkeypatch.setattr(harness, "_run_batch", lambda config, seeds, keep_decisions=False: [fixed] * len(seeds))
     mean = monte_carlo(cfg, reps=5)
     np.testing.assert_allclose(mean.regret, fixed.regret, rtol=1e-15)
     np.testing.assert_allclose(mean.regret_stderr, np.zeros_like(fixed.regret), atol=1e-15)
@@ -195,6 +195,88 @@ def test_monte_carlo_workers_match_sequential():
     seq = monte_carlo(cfg, reps=4, workers=1)
     par = monte_carlo(cfg, reps=4, workers=2)
     np.testing.assert_array_equal(seq.regret, par.regret)
+
+
+def _mean_of_runs(cfg, reps):
+    """The Monte Carlo mean assembled from one ``run`` per replication seed."""
+    traces = [run(replace(cfg, seed=derive_seed(cfg.seed, harness._REP, r))) for r in range(reps)]
+    regret = np.stack([tr.regret for tr in traces])
+    subopt = None if traces[0].subopt is None else np.stack([tr.subopt for tr in traces])
+    return MeanTrace(
+        t=traces[0].t,
+        cum_loss=np.stack([tr.cum_loss for tr in traces]).mean(axis=0),
+        comparator=np.stack([tr.comparator for tr in traces]).mean(axis=0),
+        regret=regret.mean(axis=0),
+        regret_stderr=harness._stderr(regret),
+        bits_up=np.stack([tr.bits_up for tr in traces]).mean(axis=0),
+        bits_down=np.stack([tr.bits_down for tr in traces]).mean(axis=0),
+        subopt=None if subopt is None else subopt.mean(axis=0),
+        subopt_stderr=None if subopt is None else harness._stderr(subopt),
+        reps=reps,
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(algo="dftcl", T=300, n=3, d=5, compressor="gossip:0.3", seed=4),
+        RunConfig(algo="dftfcl", env="sc_quadratic", T=300, n=3, d=5, mu=0.5, compressor="randk:2", seed=4),
+        RunConfig(algo="o2b", env="lad", T=300, n=3, d=5, samples=8, compressor="gossip:0.5", seed=4),
+    ],
+    ids=["dftcl", "dftfcl", "o2b"],
+)
+@pytest.mark.parametrize("reps,workers", [(5, 2), (17, 1)])
+def test_monte_carlo_bytes_equal_mean_of_single_runs(cfg, reps, workers, tmp_path):
+    # (5, 2) splits unevenly, 3 + 2; (17, 1) needs more than one batch, 9 + 8.
+    mean, ref = tmp_path / "mean.csv", tmp_path / "ref.csv"
+    monte_carlo(cfg, reps=reps, workers=workers).to_csv(mean)
+    _mean_of_runs(cfg, reps).to_csv(ref)
+    assert mean.read_bytes() == ref.read_bytes()
+
+
+class _NanFrom37(LinearAdversary):
+    """The linear adversary, but every gradient from round 37 on is NaN."""
+
+    def grads(self, t, w):
+        g = super().grads(t, w)
+        return g * np.nan if t >= 37 else g
+
+
+def _nan_gradients(monkeypatch):
+    monkeypatch.setattr(harness.envs, "make_linear_adversary", lambda *args: _NanFrom37(*args))
+    return RunConfig(T=300, n=2, d=3, compressor="identity", seed=1)
+
+
+def test_run_rejects_non_finite_decisions(monkeypatch):
+    cfg = _nan_gradients(monkeypatch)
+    # Round 37's NaN gradient reaches the decision played in round 38.
+    with pytest.raises(ConfigError, match=r"not finite from round 38 on") as err:
+        run(cfg)
+    assert err.value.field == "decision"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_rejects_non_finite_decisions(monkeypatch, workers):
+    cfg = _nan_gradients(monkeypatch)
+    first_seed = derive_seed(cfg.seed, harness._REP, 0)
+    with pytest.raises(ConfigError, match=rf"not finite from round 38 on \(seed {first_seed}\)") as err:
+        monte_carlo(cfg, reps=3, workers=workers)
+    assert err.value.field == "decision"
+
+
+def test_o2b_rejects_non_finite_gradients(monkeypatch):
+    class NanFrom5(LadProblem):
+        calls = 0
+
+        def stochastic_grads(self, x, rng):
+            self.calls += 1
+            return super().stochastic_grads(x, rng) * (np.nan if self.calls >= 5 else 1.0)
+
+    monkeypatch.setattr(harness.envs, "make_lad_problem", lambda *args, **kw: NanFrom5(*args, **kw))
+    cfg = RunConfig(algo="o2b", env="lad", T=64, n=2, d=3, samples=8, compressor="identity", L=2, seed=1)
+    with pytest.raises(ConfigError, match=r"not finite from update 5 on") as err:
+        run(cfg)
+    assert err.value.field == "gradient"
 
 
 # ---------------------------------------------------------------------------
