@@ -503,18 +503,16 @@ def _run_o2b(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
         for field, rows in (("gradient", gbar), ("decision", Wp), ("iterate", X)):
             _check_finite(field, rows[start:stop], start + 1, plans, "update")
 
+    return [
+        _o2b_trace(plan, *(np.ascontiguousarray(a[:, r]) for a in (X, Wp, gbar, bits_up, bits_down)), keep_decisions)
+        for r, plan in enumerate(plans)
+    ]
+
+
+def _o2b_trace(plan: _Plan, X, Wp, gbar, bits_up, bits_down, keep_decisions: bool) -> RegretTrace:
+    """One o2b replication's surrogate regret and suboptimality from its per-update paths."""
+    cfg, problem, K = plan.cfg, plan.env, plan.K
     alphas = np.arange(1, K + 1, dtype=np.float64) if cfg.weights == "linear" else np.ones(K)
-    idx = _sample_rounds(K) - 1
-    traces = []
-    for r, plan in enumerate(plans):
-        Xr, Wpr, gbarr = (np.ascontiguousarray(a[:, r]) for a in (X, Wp, gbar))
-        traces.append(_o2b_trace(plan, alphas, Xr, Wpr, gbarr, idx, bits_up[idx, r], bits_down[idx, r], keep_decisions))
-    return traces
-
-
-def _o2b_trace(plan: _Plan, alphas, X, Wp, gbar, idx, bits_up, bits_down, keep_decisions) -> RegretTrace:
-    """One o2b replication's surrogate regret and suboptimality, sampled at ``idx``."""
-    cfg, problem = plan.cfg, plan.env
     losses = alphas * np.einsum("td,td->t", gbar, Wp)
     if cfg.weights == "linear":
         losses += 0.5 * plan.mu_step * alphas * ((Wp - X) ** 2).sum(axis=1)
@@ -542,13 +540,14 @@ def _o2b_trace(plan: _Plan, alphas, X, Wp, gbar, idx, bits_up, bits_down, keep_d
 
     _, fstar = problem.optimum()
     subopt = problem.value_path(X) - fstar
+    idx = _sample_rounds(K) - 1
     return RegretTrace(
         t=(idx + 1) * plan.L,
         cum_loss=cum[idx],
         comparator=comp_curve[idx],
         regret=(cum - comp_curve)[idx],
-        bits_up=bits_up,
-        bits_down=bits_down,
+        bits_up=bits_up[idx],
+        bits_down=bits_down[idx],
         subopt=subopt[idx],
         approx_comparator=hind.approx,
         comparator_point=hind.point,
