@@ -124,7 +124,7 @@ class _Engine:
         """Leader step on s_sum: the learning-rate step when mu is None, else
         the strongly convex step with anchor curvature mu.  The arithmetic of
         :func:`ftrl_linear_step` and :func:`ftrl_strongly_convex_step`, without
-        their per-call input checks: the run drivers check finiteness per chunk."""
+        their per-call input checks: the harness checks finiteness per chunk of rounds."""
         if mu is None:
             self.decision = self.feasible.project(-(self.eta / 2.0) * self.s_sum)
         else:
