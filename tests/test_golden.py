@@ -1,8 +1,8 @@
 """Golden traces: sha256 of the CSV bytes of a small configuration matrix.
 
-The hashes pin the trace bytes of ``run`` and ``monte_carlo`` so a change to
-how randomness is drawn, or to any arithmetic on the trace path, shows up as
-a failure here.  A change that alters trace bytes on purpose must say why and
+The hashes pin the trace bytes of ``run`` and ``monte_carlo``, and the rows
+of the error-energy checks, so a change to how randomness is drawn, or to any
+arithmetic on the trace or check path, shows up as a failure here.  A change that alters trace bytes on purpose must say why and
 re-record these hashes in the same change.
 
 T is long enough that every compressor stream of every engine serves more
@@ -21,7 +21,8 @@ import hashlib
 
 import pytest
 
-from doco import RunConfig, monte_carlo, run
+from doco import RunConfig, harness, monte_carlo, run
+from doco.compressors import parse_compressor
 
 T = 600
 N, D = 3, 4
@@ -157,3 +158,28 @@ def test_monte_carlo_trace_bytes_any_worker_count(label, tmp_path):
     pooled = _sha(monte_carlo(cfg, reps=3, workers=2), tmp_path)
     assert serial == pooled
     assert serial == MC_SHA256[label]
+
+
+# sha256 of ``repr`` of each check's report.  17 seeds make two lockstep
+# batches (9 + 8); randk:3 at d=16 gives L = 6, so T = 2000 ends inside a block.
+VERIFY = {
+    "dftcl_errors/randk:4/17": lambda: harness.verify_dftcl_errors(seeds=17),
+    "dftfcl_errors/randk:3/17": lambda: harness.verify_dftfcl_errors(seeds=17, spec=parse_compressor("randk:3")),
+    "dftcl_errors/gossip:0.5/2": lambda: harness.verify_dftcl_errors(seeds=2, spec=parse_compressor("gossip:0.5")),
+    "dftfcl_errors/sign/2": lambda: harness.verify_dftfcl_errors(seeds=2, spec=parse_compressor("sign")),
+    "o2b_errors/randk:2/17": lambda: harness.verify_o2b_errors(seeds=17),
+}
+
+VERIFY_SHA256 = {
+    "dftcl_errors/randk:4/17": "59a5a5242f11fa6979fced13c2d1a9b9ffa4bb10439c9d98f3d30a8a690c2bf3",
+    "dftfcl_errors/randk:3/17": "7b8571d63a23dc17f0a2c1b7928f2c6345bea20e8353650409fd0013d3e325a6",
+    "dftcl_errors/gossip:0.5/2": "1cb3b8843180d06dd408b8bc91fa7c73d6bd247995398c148e4419dae1e9c688",
+    "dftfcl_errors/sign/2": "7bff7a7e286927c5160915de24acf85d7d0c12a8def5805826a88c3b620a6693",
+    "o2b_errors/randk:2/17": "7a1d82808d3a983aeb9306158c6bdf77f79c2722f9c15a768a04975aaf153082",
+}
+
+
+@pytest.mark.parametrize("label", VERIFY)
+def test_verify_rows(label):
+    report = VERIFY[label]()
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == VERIFY_SHA256[label]
