@@ -257,15 +257,6 @@ class Dftfcl(_Engine):
         self._k = 0
         return v_done, s_done
 
-    def run_block(self, grads_block: np.ndarray) -> np.ndarray:
-        """Convenience: advance a full block given (L, n, d) gradients; returns the played decision."""
-        if grads_block.shape[0] != self.L:
-            raise ConfigError("grads_block", f"expected {self.L} rounds, got {grads_block.shape[0]}")
-        w = self.decision
-        for k in range(self.L):
-            self.round(grads_block[k])
-        return w
-
 
 class O2b(_Engine):
     """Anytime online-to-batch conversion with L-round compressed transfers.

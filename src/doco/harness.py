@@ -7,7 +7,10 @@ replications over hash-derived seeds, advancing them in lockstep batches that
 produce the same bytes as one run per seed; :func:`fit_rate` extracts log-log slope
 and fit quality for scaling studies.  The ``verify_*`` drivers measure the
 compression-loop contraction and the error-memory energies against their
-closed-form caps and report pass/fail with margins.
+closed-form caps and report pass/fail with margins.  Each error-energy check
+is a fixed :class:`RunConfig`, resolved and built like a run: its
+replications are those of ``monte_carlo`` at that config and seed, advanced
+in the same lockstep batches.
 
 Step-size defaults are the worst-case-tuned values: delta*D/(G sqrt(T)) for
 the bidirectionally compressed per-round algorithm (sqrt(delta)*D/(G sqrt(T))
@@ -393,10 +396,29 @@ class _Lockstep:
         return np.array([p.stochastic_grads(x, rng) for p, x, rng in zip(self.members, X, rngs)])
 
 
-def _engine_seed(plans: list[_Plan]):
-    """The engine's seed argument: an int for a batch of one, else the tuple of seeds."""
-    seeds = tuple(plan.cfg.seed for plan in plans)
-    return seeds if len(seeds) > 1 else seeds[0]
+def _engine(plans: list[_Plan]):
+    """Build the engine of a batch, one replication per plan, and its step function.
+
+    One plan gives an engine at that plan's int seed; several give one engine
+    at the tuple of their seeds, advancing in lockstep over their environments
+    (or lad problems) and oracle streams.  ``step(t)`` plays round t (o2b:
+    update t) and returns the engine's round or update info.
+    """
+    plan, R = plans[0], len(plans)
+    cfg = plan.cfg
+    seeds = tuple(p.cfg.seed for p in plans)
+    env = plan.env if R == 1 else _Lockstep([p.env for p in plans])
+    common = dict(eta=plan.eta, mu=plan.mu_step, seed=seeds if R > 1 else seeds[0])
+    if cfg.algo == "o2b":
+        eng = O2b(plan.feasible, cfg.n, plan.spec, plan.L, weights=cfg.weights, **common)
+        rngs = [entity_stream(s, _ORACLE) for s in seeds]
+        rng = rngs if R > 1 else rngs[0]
+        return eng, lambda t: eng.step(env, rng)
+    if cfg.algo == "dftcl":
+        eng = Dftcl(plan.feasible, cfg.n, plan.spec, unidirectional=cfg.unidirectional, **common)
+    else:
+        eng = Dftfcl(plan.feasible, cfg.n, plan.spec, plan.L, **common)
+    return eng, lambda t: eng.round(env.grads(t, eng.decision))
 
 
 def _check_finite(field: str, rows: np.ndarray, first: int, plans: list[_Plan], step: str = "round") -> None:
@@ -410,31 +432,17 @@ def _check_finite(field: str, rows: np.ndarray, first: int, plans: list[_Plan], 
 
 def _run_online(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
     plan, R = plans[0], len(plans)
-    cfg, env = plan.cfg, plan.env if R == 1 else _Lockstep([p.env for p in plans])
-    T, d, seed = plan.env.T, plan.env.d, _engine_seed(plans)
-    if cfg.algo == "dftcl":
-        eng = Dftcl(
-            plan.feasible,
-            cfg.n,
-            plan.spec,
-            eta=plan.eta,
-            mu=plan.mu_step,
-            unidirectional=cfg.unidirectional,
-            seed=seed,
-        )
-        engine_rounds = T
-    else:
-        eng = Dftfcl(plan.feasible, cfg.n, plan.spec, plan.L, eta=plan.eta, mu=plan.mu_step, seed=seed)
-        engine_rounds = (T // plan.L) * plan.L
+    T, d = plan.env.T, plan.env.d
+    eng, step = _engine(plans)
+    engine_rounds = T if plan.cfg.algo == "dftcl" else (T // plan.L) * plan.L
     W = np.empty((T, R, d))
     bits_up = np.empty((T, R), dtype=np.int64)
     bits_down = np.empty((T, R), dtype=np.int64)
     for start in range(0, engine_rounds, _CHECK_ROUNDS):
         stop = min(start + _CHECK_ROUNDS, engine_rounds)
         for t in range(start + 1, stop + 1):
-            w = eng.decision
-            W[t - 1] = w
-            eng.round(env.grads(t, w))
+            W[t - 1] = eng.decision
+            step(t)
             bits_up[t - 1] = eng.bits_up
             bits_down[t - 1] = eng.bits_down
         _check_finite("decision", W[start:stop], start + 1, plans)
@@ -472,20 +480,8 @@ def _run_online(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
 
 def _run_o2b(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
     plan, R = plans[0], len(plans)
-    cfg = plan.cfg
-    K, L, d = plan.K, plan.L, plan.env.d
-    eng = O2b(
-        plan.feasible,
-        cfg.n,
-        plan.spec,
-        L,
-        weights=cfg.weights,
-        eta=plan.eta,
-        mu=plan.mu_step,
-        seed=_engine_seed(plans),
-    )
-    oracle_rngs = [entity_stream(p.cfg.seed, _ORACLE) for p in plans]
-    problem, oracle_rng = (plan.env, oracle_rngs[0]) if R == 1 else (_Lockstep([p.env for p in plans]), oracle_rngs)
+    K, d = plan.K, plan.env.d
+    eng, step = _engine(plans)
     X = np.empty((K, R, d))
     Wp = np.empty((K, R, d))
     gbar = np.empty((K, R, d))
@@ -494,7 +490,7 @@ def _run_o2b(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
     for start in range(0, K, _CHECK_ROUNDS):
         stop = min(start + _CHECK_ROUNDS, K)
         for t in range(start + 1, stop + 1):
-            info = eng.step(problem, oracle_rng)
+            info = step(t)
             X[t - 1] = info.x
             Wp[t - 1] = info.w_played
             gbar[t - 1] = info.gbar
@@ -560,21 +556,17 @@ def _o2b_trace(plan: _Plan, X, Wp, gbar, bits_up, bits_down, keep_decisions: boo
 def monte_carlo(config: RunConfig, reps: int | None = None, workers: int | None = None) -> MeanTrace:
     """Average ``reps`` replications; replication r runs at seed hash(seed, r).
 
-    Replications are split into contiguous batches of near-equal size, at
-    least one per worker and at most ``_BATCH`` replications each; each batch
-    advances in lockstep (see :func:`_run_batch`).  The bytes depend on
-    neither ``workers`` nor the split.
+    Each batch of :func:`_batches` advances in lockstep (see
+    :func:`_run_batch`).  The bytes depend on neither ``workers`` nor the split.
     """
     reps = config.reps if reps is None else reps
     workers = config.workers if workers is None else workers
     reps = _require_positive_int("reps", reps)
     workers = _require_positive_int("workers", workers)
-    seeds = [derive_seed(config.seed, _REP, r) for r in range(reps)]
-    nb = min(reps, max(workers, math.ceil(reps / _BATCH)))
-    batches = [tuple(seeds[i * reps // nb : (i + 1) * reps // nb]) for i in range(nb)]
-    if workers > 1 and nb > 1:
+    batches = _batches(config.seed, reps, workers)
+    if workers > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_batch, [config] * nb, batches))
+            results = list(pool.map(_run_batch, [config] * len(batches), batches))
     else:
         results = [_run_batch(config, batch) for batch in batches]
     traces = [tr for batch in results for tr in batch]
@@ -596,6 +588,17 @@ def monte_carlo(config: RunConfig, reps: int | None = None, workers: int | None 
         out.subopt = sub.mean(axis=0)
         out.subopt_stderr = _stderr(sub)
     return out
+
+
+def _batches(seed: int, reps: int, workers: int) -> list[tuple]:
+    """The seeds of replications 0..reps-1, hash(seed, r), split into contiguous
+    batches of near-equal size, at least one per worker and at most ``_BATCH``
+    replications each."""
+    if seed < 0:
+        raise ConfigError("seed", f"must be >= 0, got {seed}")
+    seeds = [derive_seed(seed, _REP, r) for r in range(reps)]
+    nb = min(reps, max(workers, math.ceil(reps / _BATCH)))
+    return [tuple(seeds[i * reps // nb : (i + 1) * reps // nb]) for i in range(nb)]
 
 
 def _stderr(rows: np.ndarray) -> np.ndarray:
@@ -671,91 +674,68 @@ def verify_fcc_contraction(
     return VerifyReport("fcc_contraction", tuple(rows))
 
 
-def _error_energies(seeds: int, seed: int, T: int, build):
-    """Seed-averaged per-step squared norms of the mean learner memory and of the server memory.
-
-    ``build(s)`` builds an engine at replication seed s and returns it with a
-    function that advances it by step t.
+def _error_energies(config: RunConfig, reps: int):
+    """Replication-mean squared norms of the mean learner memory and of the
+    server memory after every round (o2b: update) of ``config``, tail rounds
+    past a blocked run's last full block included, over the replications of
+    ``monte_carlo(config, reps)`` in the same lockstep batches.  Returns one
+    replication's plan with the two energy paths.
     """
-    e_sq = np.zeros(T)
-    ehat_sq = np.zeros(T)
-    for r in range(seeds):
-        eng, advance = build(derive_seed(seed, _REP, r))
-        for t in range(1, T + 1):
-            advance(t)
-            ebar = eng.e.mean(axis=0)
-            e_sq[t - 1] += float(ebar @ ebar)
-            ehat_sq[t - 1] += float(eng.e_hat @ eng.e_hat)
-    return e_sq / seeds, ehat_sq / seeds
+    reps = _require_positive_int("seeds", reps)
+    paths = []  # per replication: the (2, steps) energies after each step
+    for batch in _batches(config.seed, reps, 1):
+        plans = [_resolve(replace(config, seed=s)) for s in batch]
+        steps = plans[0].K or config.T
+        eng, step = _engine(plans)
+        energies = np.empty((len(batch), 2, steps))
+        for t in range(steps):
+            step(t + 1)
+            for i, m in enumerate((eng.e.mean(axis=-2), eng.e_hat)):
+                energies[:, i, t] = np.matmul(m[..., None, :], m[..., :, None])[..., 0, 0]
+        paths.extend(energies)
+    # Summed replication by replication, so the means do not depend on the split.
+    e_sq, ehat_sq = sum(paths) / reps
+    return plans[0], e_sq, ehat_sq
 
 
-def _energy_rows(step: str, e_sq, e_bound: float, ehat_sq, ehat_bound: float) -> tuple:
-    """The two rows of an error-energy check: the peak of each mean energy against its cap."""
+def _energy_report(config: RunConfig, reps: int) -> VerifyReport:
+    """The ``<algo>_errors`` check: each energy's peak against its closed-form cap.
+    The residual-compression caps grow with the norm cap g of one transfer's
+    gradient sum: L*G for a block of L rounds, G for an o2b update (alpha_t = 1)."""
+    plan, e_sq, ehat_sq = _error_energies(config, reps)
+    delta, G = plan.delta, plan.G
+    if config.algo == "dftcl":
+        caps = 4.0 * (1.0 - delta) * G**2 / delta**2, 160.0 * (1.0 - delta) * G**2 / delta**4
+    else:
+        g = plan.L * G if config.algo == "dftfcl" else G
+        caps = 4.0 * math.e**2 * g**2, 120.0 * math.e**2 * g**2
+    step = "b" if config.algo == "dftfcl" else "t"
     rows = []
-    for name, energy, bound in (("e", e_sq, e_bound), ("e_hat", ehat_sq, ehat_bound)):
+    for name, energy, bound in zip(("e", "e_hat"), (e_sq, ehat_sq), caps):
         peak = float(energy.max())
         rows.append(VerifyRow(f"max_{step} mean ||{name}||^2", peak, bound, bound - peak, peak <= bound))
-    return tuple(rows)
+    return VerifyReport(f"{config.algo}_errors", tuple(rows))
 
 
 def verify_dftcl_errors(
     seed: int = 0, seeds: int = 50, spec: CompressorSpec | None = None
 ) -> VerifyReport:
     """Error-memory energies of the per-round algorithm vs their closed-form caps."""
-    n, d, T, G, D = 8, 16, 2000, 1.0, 2.0
-    spec = RandK(4) if spec is None else spec
-    delta = nominal_delta(spec, d)
-    eta = delta * D / (G * math.sqrt(T))
-
-    def build(s):
-        env = envs.make_linear_adversary(n, d, T, G, derive_seed(s, _ENV))
-        eng = Dftcl(Ball(D / 2.0, d), n, spec, eta=eta, seed=s)
-        return eng, lambda t: eng.round(env.grads(t, eng.decision))
-
-    e_sq, ehat_sq = _error_energies(seeds, seed, T, build)
-    e_bound = 4.0 * (1.0 - delta) * G**2 / delta**2
-    ehat_bound = 160.0 * (1.0 - delta) * G**2 / delta**4
-    return VerifyReport("dftcl_errors", _energy_rows("t", e_sq, e_bound, ehat_sq, ehat_bound))
+    spec = "randk:4" if spec is None else spec
+    return _energy_report(RunConfig("dftcl", "linear", 2000, 8, 16, spec, seed=seed), seeds)
 
 
 def verify_dftfcl_errors(
     seed: int = 0, seeds: int = 50, spec: CompressorSpec | None = None, L: int | None = None
 ) -> VerifyReport:
     """Block-algorithm error energies vs the residual-compression caps (L = ceil(1/delta))."""
-    n, d, T, G, D = 8, 16, 2000, 1.0, 2.0
-    spec = RandK(4) if spec is None else spec
-    if L is None:
-        L = math.ceil(1.0 / nominal_delta(spec, d))
-    eta = D / (G * math.sqrt(L * T))
-
-    def build(s):
-        env = envs.make_linear_adversary(n, d, T, G, derive_seed(s, _ENV))
-        eng = Dftfcl(Ball(D / 2.0, d), n, spec, L, eta=eta, seed=s)
-        return eng, lambda t: eng.round(env.grads(t, eng.decision))
-
-    e_sq, ehat_sq = _error_energies(seeds, seed, T, build)
-    e_bound = 4.0 * math.e**2 * L**2 * G**2
-    ehat_bound = 120.0 * math.e**2 * L**2 * G**2
-    return VerifyReport("dftfcl_errors", _energy_rows("b", e_sq, e_bound, ehat_sq, ehat_bound))
+    spec = "randk:4" if spec is None else spec
+    return _energy_report(RunConfig("dftfcl", "linear", 2000, 8, 16, spec, L=L, seed=seed), seeds)
 
 
 def verify_o2b_errors(seed: int = 0, seeds: int = 20) -> VerifyReport:
     """Online-to-batch error energies (uniform weights, RandK(2)) vs the residual-compression caps."""
-    n, d, k, L, K, samples = 4, 8, 2, 4, 256, 32
-    feasible = Box(np.zeros(d), np.ones(d))
-    G = math.sqrt(d)
-
-    def build(s):
-        problem = envs.make_lad_problem(n, d, samples, feasible, derive_seed(s, _ENV))
-        eta = feasible.diameter() / (problem.G * math.sqrt(K))
-        eng = O2b(feasible, n, RandK(k), L, weights="uniform", eta=eta, seed=s)
-        rng = entity_stream(s, _ORACLE)
-        return eng, lambda t: eng.step(problem, rng)
-
-    e_sq, ehat_sq = _error_energies(seeds, seed, K, build)
-    e_bound = 4.0 * math.e**2 * G**2  # alpha_t = 1
-    ehat_bound = 120.0 * math.e**2 * G**2
-    return VerifyReport("o2b_errors", _energy_rows("t", e_sq, e_bound, ehat_sq, ehat_bound))
+    return _energy_report(RunConfig("o2b", "lad", 1024, 4, 8, "randk:2", L=4, seed=seed), seeds)
 
 
 def verify_lemma(lemma_id: str, seed: int = 0, spec: CompressorSpec | None = None) -> VerifyReport:

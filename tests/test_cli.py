@@ -33,6 +33,13 @@ def test_run_missing_horizon_names_key(tmp_path, capsys):
     assert "T" in err and "required" in err
 
 
+@pytest.mark.parametrize("command", [["run", "--T", "100", "--out", "x.csv"], ["verify", "o2b_errors"]])
+def test_negative_seed_exits_two(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--seed", "-1"]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
+
+
 def test_run_non_finite_decisions_exit_two(tmp_path, monkeypatch, capsys):
     import doco.environments as envs
 

@@ -2,8 +2,9 @@
 
 The hashes pin the trace bytes of ``run`` and ``monte_carlo``, and the rows
 of the error-energy checks, so a change to how randomness is drawn, or to any
-arithmetic on the trace or check path, shows up as a failure here.  A change that alters trace bytes on purpose must say why and
-re-record these hashes in the same change.
+arithmetic on the trace or check path, shows up as a failure here.  A change
+that alters trace bytes on purpose must say why and re-record these hashes in
+the same change.
 
 T is long enough that every compressor stream of every engine serves more
 than 512 compressor calls, so randomness drawn ahead in chunks of up to 256

@@ -334,6 +334,15 @@ def test_verify_dftcl_errors_lossless_degenerate():
     assert all(row.measured == 0.0 and row.bound == 0.0 for row in report.rows)
 
 
+@pytest.mark.parametrize("seeds", [0, -3])
+@pytest.mark.parametrize(
+    "check", [harness.verify_dftcl_errors, harness.verify_dftfcl_errors, harness.verify_o2b_errors]
+)
+def test_energy_checks_reject_non_positive_seed_counts(check, seeds):
+    with pytest.raises(ConfigError, match="^seeds: must be >= 1"):
+        check(seeds=seeds)
+
+
 def test_verify_rows_carry_plain_floats_and_bools():
     reports = [
         harness.verify_dftcl_errors(seeds=1),
