@@ -6,11 +6,9 @@ given seed and returns a :class:`RegretTrace`; :func:`monte_carlo` averages
 replications over hash-derived seeds, advancing them in lockstep batches that
 produce the same bytes as one run per seed; :func:`fit_rate` extracts log-log slope
 and fit quality for scaling studies.  The ``verify_*`` drivers measure the
-compression-loop contraction and the error-memory energies against their
-closed-form caps and report pass/fail with margins.  Each error-energy check
-is a fixed :class:`RunConfig`, resolved and built like a run: its
-replications are those of ``monte_carlo`` at that config and seed, advanced
-in the same lockstep batches.
+compression-loop contraction, and the error-memory energies of a fixed
+:class:`RunConfig` over the replications ``monte_carlo`` makes of it, against
+their closed-form caps and report pass/fail with margins.
 
 Step-size defaults are the worst-case-tuned values: delta*D/(G sqrt(T)) for
 the bidirectionally compressed per-round algorithm (sqrt(delta)*D/(G sqrt(T))
