@@ -145,7 +145,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", dest="set", help="box:lo:hi | ball:r")
     p.add_argument("--weights", choices=["uniform", "linear"], help="o2b weighting scheme")
     p.add_argument("--unidirectional", action="store_true", default=None, help="server sends uncompressed")
-    p.add_argument("--env-p", dest="env_p", type=float, help="Bernoulli parameter of the sc_lower shift")
+    p.add_argument("--env-p", dest="env_p", type=float, help="Bernoulli parameter of the sc_lower shift (sc_lower only)")
     p.add_argument("--samples", type=int, help="data points per learner (lad)")
     p.add_argument("--seed", type=int, help="global seed; all randomness derives from it")
     p.add_argument("--reps", type=int, help="Monte Carlo replications")

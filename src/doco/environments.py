@@ -4,8 +4,12 @@ a stochastic least-absolute-deviation problem.
 Online environments expose per-round, per-learner subgradients ``grads(t, w)``
 (t is 1-based), batched mean-loss evaluation along a decision path, and a
 description of the summed loss for computing the best fixed decision in
-hindsight.  All randomness is frozen at construction from ``seed``, so an
-environment is a deterministic function of (seed, round, learner).
+hindsight.  Rounds are drawn in chunks of 256, in order, from one stream
+seeded by ``seed``; asking for a chunk behind the stream's position re-seeds
+it and redraws.  The numbers are those one draw of every round would give, so
+an environment is a deterministic function of (seed, round, learner) in any
+access order, and it holds one chunk of rounds instead of all T (the strongly
+convex interval sequence also keeps its one coin per interval).
 
 The two "lower bound" environments keep each learner's loss constant on
 intervals of length ceil(1/delta) and redraw it at interval boundaries; with a
@@ -42,37 +46,193 @@ def _check_positive(**kwargs):
             raise ConfigError(name, f"must be positive, got {value}")
 
 
-class LinearAdversary:
+_CHUNK = 256  # rounds an online environment draws and serves at a time
+
+
+def _chunks(T: int):
+    """(chunk, first round, stop) of the chunks of rounds 0..T-1, 0-based and in order."""
+    return ((a // _CHUNK, a, min(a + _CHUNK, T)) for a in range(0, T, _CHUNK))
+
+
+class _Rows:
+    """Rows of a table drawn in order from one seeded stream, holding only the last rows served.
+
+    ``draw(rng, k)`` draws the next k rows.  A request that starts before the
+    held rows re-seeds the stream and redraws from row 0, so in any access
+    order the rows are those one draw of the whole table gives.
+    """
+
+    def __init__(self, seed: int, draw):
+        self.seed, self.draw = seed, draw
+        self.rng, self.start, self.held = None, 0, None  # held: rows start, start + 1, ...
+
+    def rows(self, i: int, j: int) -> np.ndarray:
+        if self.rng is None or i < self.start:
+            self.rng = np.random.default_rng(self.seed)
+            self.start, self.held = 0, self.draw(self.rng, 0)
+        stop = self.start + len(self.held)
+        if j > stop:
+            for k in range(stop, i, _CHUNK):  # skipped rows, a chunk at a time
+                self.draw(self.rng, min(_CHUNK, i - k))
+            new = self.draw(self.rng, j - max(i, stop))
+            self.held = np.concatenate([self.held[i - self.start :], new]) if i < stop else new
+            self.start = i
+        return self.held[i - self.start : j - self.start]
+
+
+class _ColumnSum:
+    """``.sum(axis=0)`` of rows that arrive a chunk at a time, bit for bit.
+
+    (rows, d) chunks are carried as ``np.add.reduce`` over the running sum
+    stacked on the new rows.  numpy sums a 1-D array (or one column)
+    pairwise, which no carry reproduces, so such rows are kept and summed at
+    the end: they are per-round scalars.
+    """
+
+    def __init__(self):
+        self.total, self.kept = None, []
+
+    def add(self, rows: np.ndarray) -> None:
+        if rows.ndim == 1 or rows.shape[1] == 1:
+            self.kept.append(rows)
+        elif len(rows):
+            self.total = np.add.reduce(rows if self.total is None else np.vstack([self.total[None], rows]), axis=0)
+
+    def result(self) -> np.ndarray:
+        return np.concatenate(self.kept).sum(axis=0) if self.kept else self.total
+
+
+class _Hindsight:
+    """An environment's hindsight description, folded over its chunks in round order."""
+
+    def __init__(self, env):
+        self.env, self.sums = env, None
+
+    def add(self, c: int) -> None:
+        terms = self.env._hind_terms(c)
+        self.sums = self.sums or [_ColumnSum() for _ in terms]
+        for total, rows in zip(self.sums, terms):
+            total.add(rows)
+
+    def result(self):
+        return self.env._hind_result(*(total.result() for total in self.sums))
+
+
+class _Online:
+    """Base of the online environments: rounds are served a chunk of
+    ``_CHUNK`` at a time, and ``_load(a, b)`` sets up rounds a+1..b.
+
+    The driver reads a chunk's mean-loss rows, comparator rows and hindsight
+    terms (``_loss_rows``, ``_curve_rows``, ``_hind_terms``); the public
+    methods are the same calls over every chunk.
+    """
+
+    _held = -1  # the chunk set up by the last _load
+
+    def _hold(self, c: int) -> None:
+        if c != self._held:
+            a = c * _CHUNK
+            self._load(a, min(a + _CHUNK, self.T))
+            self._held = c
+
+    def grads(self, t: int, w: np.ndarray) -> np.ndarray:
+        c, i = divmod(t - 1, _CHUNK)
+        if c != self._held:
+            self._hold(c)
+        return self._grads(i, w)
+
+    def mean_loss_path(self, W: np.ndarray) -> np.ndarray:
+        return np.concatenate([self._loss_rows(c, W[a:b]) for c, a, b in _chunks(self.T)])
+
+    def mean_loss_curve(self, w: np.ndarray) -> np.ndarray:
+        return np.concatenate([self._curve_rows(c, w) for c, _, _ in _chunks(self.T)])
+
+    def hindsight(self):
+        fold = _Hindsight(self)
+        for c, _, _ in _chunks(self.T):
+            fold.add(c)
+        return fold.result()
+
+
+class _LinearLosses(_Online):
+    """Mean loss <gbar_t, w>: a chunk holds its mean-gradient rows ``_gbar``."""
+
+    mu = 0.0
+
+    def _loss_rows(self, c: int, W: np.ndarray) -> np.ndarray:
+        self._hold(c)
+        return np.einsum("td,td->t", self._gbar, W)
+
+    def _curve_rows(self, c: int, w: np.ndarray) -> np.ndarray:
+        self._hold(c)
+        return self._gbar @ w
+
+
+class _QuadraticLosses(_Online):
+    """Mean loss (mu/2)(||w||^2 - 2<cbar_t, w> + csq_t): a chunk holds the rows
+    ``_cbar`` (mean anchor) and ``_csq`` (mean squared anchor norm)."""
+
+    def _loss_rows(self, c: int, W: np.ndarray) -> np.ndarray:
+        self._hold(c)
+        wsq = (W**2).sum(axis=1)
+        return 0.5 * self.mu * (wsq - 2.0 * np.einsum("td,td->t", self._cbar, W) + self._csq)
+
+    def _curve_rows(self, c: int, w: np.ndarray) -> np.ndarray:
+        self._hold(c)
+        return 0.5 * self.mu * (float(w @ w) - 2.0 * (self._cbar @ w) + self._csq)
+
+    def _hind_terms(self, c: int) -> tuple:
+        self._hold(c)
+        return self._cbar, self._csq
+
+    def _hind_result(self, cbar_sum: np.ndarray, csq_sum) -> BlackBoxLoss:
+        T, mu = self.T, self.mu
+        cmean = cbar_sum / T
+        const = float(csq_sum)
+
+        def value(w):
+            return 0.5 * mu * (T * float(w @ w) - 2.0 * T * float(cmean @ w) + const)
+
+        def subgrad(w):
+            return mu * T * (w - cmean)
+
+        return BlackBoxLoss(value, subgrad, mu=mu * T)
+
+
+class LinearAdversary(_LinearLosses):
     """f_i^t(w) = <g_i^t, w> with coordinates of g_i^t uniform on {-G/sqrt(d), +G/sqrt(d)}.
 
     Every gradient has norm exactly G; gradients are decision-independent.
     """
 
-    mu = 0.0
-
     def __init__(self, n: int, d: int, T: int, G: float, seed: int):
         _check_positive(n=n, d=d, T=T, G=G)
         self.n, self.d, self.T, self.G = n, d, T, float(G)
         self.feasible = None
-        rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=(T, n, d)).astype(np.float64) * 2.0 - 1.0
-        self._g = signs * (G / math.sqrt(d))
+        self._scale = G / math.sqrt(d)
+        self._rows = _Rows(seed, self._draw)
+
+    def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        # int32 output takes the same 32-bit draws, and gives the same values, as the default int64.
+        signs = rng.integers(0, 2, size=(k, self.n, self.d), dtype=np.int32).astype(np.float64) * 2.0 - 1.0
+        return signs * self._scale
+
+    def _load(self, a: int, b: int) -> None:
+        self._g = self._rows.rows(a, b)
         self._gbar = self._g.mean(axis=1)
 
-    def grads(self, t: int, w: np.ndarray) -> np.ndarray:
-        return self._g[t - 1]
+    def _grads(self, i: int, w: np.ndarray) -> np.ndarray:
+        return self._g[i]
 
-    def mean_loss_path(self, W: np.ndarray) -> np.ndarray:
-        return np.einsum("td,td->t", self._gbar, W)
+    def _hind_terms(self, c: int) -> tuple:
+        self._hold(c)
+        return (self._gbar,)
 
-    def mean_loss_curve(self, w: np.ndarray) -> np.ndarray:
-        return self._gbar @ w
-
-    def hindsight(self):
-        return self._gbar.sum(axis=0)
+    def _hind_result(self, gbar_sum: np.ndarray) -> np.ndarray:
+        return gbar_sum
 
 
-class QuadraticAdversary:
+class QuadraticAdversary(_QuadraticLosses):
     """f_i^t(w) = (mu/2) ||w - b_i^t||^2 with b_i^t uniform in the feasible box.
 
     Gradients are mu (w - b_i^t); with box diameter D and b, w both in the box
@@ -84,39 +244,22 @@ class QuadraticAdversary:
         _check_positive(n=n, d=d, T=T, mu=mu, G=G, D=D)
         if mu * D > G + 1e-12:
             raise ConfigError("mu", f"mu*D = {mu * D} exceeds the gradient bound G = {G}")
-        half = D / (2.0 * math.sqrt(d))
+        self._half = D / (2.0 * math.sqrt(d))
         self.n, self.d, self.T = n, d, T
         self.mu, self.G, self.D = float(mu), float(G), float(D)
-        self.feasible = Box(-half * np.ones(d), half * np.ones(d))
-        rng = np.random.default_rng(seed)
-        self._b = rng.uniform(-half, half, size=(T, n, d))
-        self._bbar = self._b.mean(axis=1)
-        self._bsq = (self._b**2).sum(axis=2).mean(axis=1)
+        self.feasible = Box(-self._half * np.ones(d), self._half * np.ones(d))
+        self._rows = _Rows(seed, self._draw)
 
-    def grads(self, t: int, w: np.ndarray) -> np.ndarray:
-        return self.mu * (w - self._b[t - 1])
+    def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        return rng.uniform(-self._half, self._half, size=(k, self.n, self.d))
 
-    def mean_loss_path(self, W: np.ndarray) -> np.ndarray:
-        wsq = (W**2).sum(axis=1)
-        cross = np.einsum("td,td->t", self._bbar, W)
-        return 0.5 * self.mu * (wsq - 2.0 * cross + self._bsq)
+    def _load(self, a: int, b: int) -> None:
+        self._b = self._rows.rows(a, b)
+        self._cbar = self._b.mean(axis=1)
+        self._csq = (self._b**2).sum(axis=2).mean(axis=1)
 
-    def mean_loss_curve(self, w: np.ndarray) -> np.ndarray:
-        wsq = float(w @ w)
-        return 0.5 * self.mu * (wsq - 2.0 * (self._bbar @ w) + self._bsq)
-
-    def hindsight(self) -> BlackBoxLoss:
-        T, mu = self.T, self.mu
-        bmean = self._bbar.mean(axis=0)
-        const = float(self._bsq.sum())
-
-        def value(w):
-            return 0.5 * mu * (T * float(w @ w) - 2.0 * T * float(bmean @ w) + const)
-
-        def subgrad(w):
-            return mu * T * (w - bmean)
-
-        return BlackBoxLoss(value, subgrad, mu=mu * T)
+    def _grads(self, i: int, w: np.ndarray) -> np.ndarray:
+        return self.mu * (w - self._b[i])
 
 
 def interval_boundaries(T: int, delta: float) -> np.ndarray:
@@ -126,19 +269,20 @@ def interval_boundaries(T: int, delta: float) -> np.ndarray:
     remaining Z = floor((T-1)/K) tail so that every round is covered.
     """
     K = math.ceil(1.0 / delta)
-    Z = (T - 1) // K
-    idx = np.minimum(np.arange(T) // K, Z)
-    return idx.astype(np.int64)
+    return _interval_index(0, T, K, (T - 1) // K)
 
 
-class IntervalLinearEnv:
+def _interval_index(a: int, b: int, K: int, Z: int) -> np.ndarray:
+    """Interval index of the 0-based rounds a..b-1: intervals of K rounds, the last (Z) absorbing the tail."""
+    return np.minimum(np.arange(a, b, dtype=np.int64) // K, Z)
+
+
+class IntervalLinearEnv(_LinearLosses):
     """Half the learners see zero loss; the rest see <z_i, w> frozen per interval.
 
     The coordinates of z_i are +-G/sqrt(d) with probability 1/2, redrawn once
     per interval; the feasible set is the box [-D/(2 sqrt(d)), D/(2 sqrt(d))]^d.
     """
-
-    mu = 0.0
 
     def __init__(self, n: int, d: int, T: int, G: float, D: float, delta: float, seed: int):
         _check_positive(n=n, d=d, T=T, G=G, D=D)
@@ -151,33 +295,42 @@ class IntervalLinearEnv:
         self.G, self.D, self.delta = float(G), float(D), float(delta)
         self.m = n // 2
         self.feasible = Box(-half * np.ones(d), half * np.ones(d))
-        self._idx = interval_boundaries(T, delta)
-        rng = np.random.default_rng(seed)
-        n_intervals = int(self._idx[-1]) + 1
-        signs = rng.integers(0, 2, size=(n_intervals, d)).astype(np.float64) * 2.0 - 1.0
-        self._z = signs * (G / math.sqrt(d))
+        self._K = math.ceil(1.0 / delta)
+        self._Z = (T - 1) // self._K
+        self._scale = G / math.sqrt(d)
+        self._rows = _Rows(seed, self._draw)  # one row z_i per interval
         self._frac = (n - self.m) / n
 
-    def grads(self, t: int, w: np.ndarray) -> np.ndarray:
+    def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        signs = rng.integers(0, 2, size=(k, self.d), dtype=np.int32).astype(np.float64) * 2.0 - 1.0
+        return signs * self._scale
+
+    def _load(self, a: int, b: int) -> None:
+        idx = _interval_index(a, b, self._K, self._Z)
+        self._lo = int(idx[0])
+        self._z = self._rows.rows(self._lo, int(idx[-1]) + 1)
+        self._zr = self._z[idx - self._lo]
+        self._gbar = self._frac * self._zr
+
+    def _grads(self, i: int, w: np.ndarray) -> np.ndarray:
         out = np.zeros((self.n, self.d))
-        out[self.m :] = self._z[self._idx[t - 1]]
+        out[self.m :] = self._zr[i]
         return out
 
-    def _zbar_rows(self) -> np.ndarray:
-        return self._frac * self._z[self._idx]
+    def _hind_terms(self, c: int) -> tuple:
+        # Each interval's term, length * z_i, joins the sum in the chunk where the interval starts.
+        self._hold(c)
+        a = c * _CHUNK
+        first = int(_interval_index(a - 1, a, self._K, self._Z)[0]) + 1 if a else 0
+        ks = np.arange(first, self._lo + len(self._z))
+        lengths = np.where(ks == self._Z, self.T - self._Z * self._K, self._K).astype(np.float64)
+        return (lengths[:, None] * self._z[first - self._lo :],)
 
-    def mean_loss_path(self, W: np.ndarray) -> np.ndarray:
-        return np.einsum("td,td->t", self._zbar_rows(), W)
-
-    def mean_loss_curve(self, w: np.ndarray) -> np.ndarray:
-        return self._zbar_rows() @ w
-
-    def hindsight(self):
-        lengths = np.bincount(self._idx).astype(np.float64)
-        return self._frac * (lengths[:, None] * self._z).sum(axis=0)
+    def _hind_result(self, total: np.ndarray) -> np.ndarray:
+        return self._frac * total
 
 
-class IntervalQuadraticEnv:
+class IntervalQuadraticEnv(_QuadraticLosses):
     """Strongly convex frozen-interval sequence on the box [0, D/sqrt(d)]^d.
 
     Learners 1..m see (mu/2)||w||^2; the rest see (mu/2)||w - (D/sqrt(d)) z_i||^2
@@ -203,50 +356,29 @@ class IntervalQuadraticEnv:
             raise ConfigError("delta", f"must be in (0, 1], got {delta}")
         if T < (16.0 + delta) / delta:
             raise ConfigError("T", f"must be at least (16+delta)/delta = {(16 + delta) / delta:.3f}")
-        side = D / math.sqrt(d)
+        self._side = D / math.sqrt(d)
         self.n, self.d, self.T = n, d, T
         self.mu, self.D, self.delta, self.p = float(mu), float(D), float(delta), float(p)
         self.G = float(mu * D)
         self.m = n // 2
-        self.feasible = Box(np.zeros(d), side * np.ones(d))
-        self._idx = interval_boundaries(T, delta)
+        self.feasible = Box(np.zeros(d), self._side * np.ones(d))
+        self._K = math.ceil(1.0 / delta)
+        self._Z = (T - 1) // self._K
         rng = np.random.default_rng(seed)
-        n_intervals = int(self._idx[-1]) + 1
-        ones = (rng.random(n_intervals) < p).astype(np.float64)
+        self._ones = (rng.random(self._Z + 1) < p).astype(np.float64)  # z_i = 1 per interval
+
+    def _load(self, a: int, b: int) -> None:
+        idx = _interval_index(a, b, self._K, self._Z)
+        lo, hi = int(idx[0]), int(idx[-1]) + 1
         # anchors[i] has one row per learner: zero rows, then side * z_i rows.
-        self._anchors = np.zeros((n_intervals, n, d))
-        self._anchors[:, self.m :, :] = (side * ones)[:, None, None]
+        anchors = np.zeros((hi - lo, self.n, self.d))
+        anchors[:, self.m :, :] = (self._side * self._ones[lo:hi])[:, None, None]
+        self._anchors, self._local = anchors, idx - lo
+        self._cbar = anchors.mean(axis=1)[self._local]
+        self._csq = (anchors**2).sum(axis=2).mean(axis=1)[self._local]
 
-    def grads(self, t: int, w: np.ndarray) -> np.ndarray:
-        return self.mu * (w - self._anchors[self._idx[t - 1]])
-
-    def _per_round_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        abar = self._anchors.mean(axis=1)[self._idx]
-        asq = (self._anchors**2).sum(axis=2).mean(axis=1)[self._idx]
-        return abar, asq
-
-    def mean_loss_path(self, W: np.ndarray) -> np.ndarray:
-        abar, asq = self._per_round_terms()
-        wsq = (W**2).sum(axis=1)
-        return 0.5 * self.mu * (wsq - 2.0 * np.einsum("td,td->t", abar, W) + asq)
-
-    def mean_loss_curve(self, w: np.ndarray) -> np.ndarray:
-        abar, asq = self._per_round_terms()
-        return 0.5 * self.mu * (float(w @ w) - 2.0 * (abar @ w) + asq)
-
-    def hindsight(self) -> BlackBoxLoss:
-        abar, asq = self._per_round_terms()
-        T, mu = self.T, self.mu
-        amean = abar.mean(axis=0)
-        const = float(asq.sum())
-
-        def value(w):
-            return 0.5 * mu * (T * float(w @ w) - 2.0 * T * float(amean @ w) + const)
-
-        def subgrad(w):
-            return mu * T * (w - amean)
-
-        return BlackBoxLoss(value, subgrad, mu=mu * T)
+    def _grads(self, i: int, w: np.ndarray) -> np.ndarray:
+        return self.mu * (w - self._anchors[self._local[i]])
 
 
 class LadProblem:

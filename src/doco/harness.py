@@ -163,6 +163,8 @@ def _resolve(cfg: RunConfig) -> _Plan:
         raise ConfigError("seed", f"must be >= 0, got {cfg.seed}")
     _require_positive_int("reps", cfg.reps)
     _require_positive_int("workers", cfg.workers)
+    if cfg.env != "sc_lower" and cfg.env_p != RunConfig.env_p:
+        raise ConfigError("env_p", f"only the sc_lower environment takes a Bernoulli parameter, got {cfg.env_p}")
     spec = parse_compressor(cfg.compressor) if isinstance(cfg.compressor, str) else cfg.compressor
     delta = nominal_delta(spec, d)
     if cfg.unidirectional and cfg.algo != "dftcl":
@@ -419,61 +421,107 @@ def _engine(plans: list[_Plan]):
     return eng, lambda t: eng.round(env.grads(t, eng.decision))
 
 
-def _check_finite(field: str, rows: np.ndarray, first: int, plans: list[_Plan], step: str = "round") -> None:
+def _check_finite(field: str, rows: np.ndarray, rounds, plans: list[_Plan], step: str = "round") -> None:
     """Raise ConfigError naming the first round (o2b: update) whose recorded
-    vector is not finite; ``rows``, shape (steps, R, d), holds steps first, first + 1, ..."""
-    ok = np.isfinite(rows).all(axis=-1)
+    value is not finite; ``rows``, shape (steps, R) or (steps, R, d), holds
+    the steps listed in ``rounds``."""
+    ok = np.isfinite(rows)
+    if ok.ndim == 3:
+        ok = ok.all(axis=-1)
     if not ok.all():
         t, r = np.argwhere(~ok)[0]
-        raise ConfigError(field, f"not finite from {step} {first + t} on (seed {plans[r].cfg.seed})")
+        raise ConfigError(field, f"not finite from {step} {rounds[t]} on (seed {plans[r].cfg.seed})")
+
+
+def _carry_cumsum(last, rows: np.ndarray) -> np.ndarray:
+    """Column cumsum of a chunk of (rounds, R) rows continuing from the previous
+    chunk's last row ``last`` (None for the first chunk): the full cumsum's bits."""
+    if last is None:
+        return np.cumsum(rows, axis=0)
+    return np.cumsum(np.vstack([last[None], rows]), axis=0)[1:]
+
+
+def _kept(rounds: np.ndarray, a: int, b: int) -> tuple[slice, np.ndarray]:
+    """The sampled rows in rounds a+1..b: their slice of ``rounds`` and their offsets in the chunk."""
+    sel = slice(*np.searchsorted(rounds, [a + 1, b + 1]))
+    return sel, rounds[sel] - 1 - a
 
 
 def _run_online(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
+    """Play the rounds a chunk of the environments at a time, then take a
+    second pass over the re-drawn chunks for the comparator's losses.
+
+    Per chunk the first pass records decisions and bit counts, checks the
+    decisions, and folds each replication's mean losses into its cumulative
+    loss and its hindsight sum; only the sampled rows are kept.
+    """
     plan, R = plans[0], len(plans)
     T, d = plan.env.T, plan.env.d
+    members = [p.env for p in plans]
     eng, step = _engine(plans)
     engine_rounds = T if plan.cfg.algo == "dftcl" else (T // plan.L) * plan.L
-    W = np.empty((T, R, d))
-    bits_up = np.empty((T, R), dtype=np.int64)
-    bits_down = np.empty((T, R), dtype=np.int64)
-    for start in range(0, engine_rounds, _CHECK_ROUNDS):
-        stop = min(start + _CHECK_ROUNDS, engine_rounds)
-        for t in range(start + 1, stop + 1):
-            W[t - 1] = eng.decision
-            step(t)
-            bits_up[t - 1] = eng.bits_up
-            bits_down[t - 1] = eng.bits_down
-        _check_finite("decision", W[start:stop], start + 1, plans)
-    # Tail rounds past the last full block replay the last decision, silently.
-    W[engine_rounds:] = eng.decision
-    bits_up[engine_rounds:] = eng.bits_up
-    bits_down[engine_rounds:] = eng.bits_down
-    _check_finite("decision", W[engine_rounds:], engine_rounds + 1, plans)
+    rounds = _sample_rounds(T)
+    S = len(rounds)
+    cum, comp, regret = np.empty((R, S)), np.empty((R, S)), np.empty((R, S))
+    bits_up, bits_down = np.empty((R, S), dtype=np.int64), np.empty((R, S), dtype=np.int64)
+    decisions = np.empty((R, S, d)) if keep_decisions else None
+    folds = [envs._Hindsight(env) for env in members]
+    last = None
+    for c, a, b in envs._chunks(T):
+        W = np.empty((b - a, R, d))
+        bu, bd = np.empty((b - a, R), dtype=np.int64), np.empty((b - a, R), dtype=np.int64)
+        live = min(max(engine_rounds - a, 0), b - a)
+        for i in range(live):
+            W[i] = eng.decision
+            step(a + i + 1)
+            bu[i] = eng.bits_up
+            bd[i] = eng.bits_down
+        # Tail rounds past the last full block replay the last decision, silently.
+        W[live:] = eng.decision
+        bu[live:] = eng.bits_up
+        bd[live:] = eng.bits_down
+        _check_finite("decision", W, range(a + 1, b + 1), plans)
+        losses = np.empty((b - a, R))
+        for r, env in enumerate(members):
+            losses[:, r] = env._loss_rows(c, np.ascontiguousarray(W[:, r]))
+            folds[r].add(c)
+        chunk_cum = _carry_cumsum(last, losses)
+        _check_finite("cum_loss", chunk_cum, range(a + 1, b + 1), plans)
+        last = chunk_cum[-1]
+        sel, at = _kept(rounds, a, b)
+        cum[:, sel], bits_up[:, sel], bits_down[:, sel] = chunk_cum[at].T, bu[at].T, bd[at].T
+        if keep_decisions:
+            decisions[:, sel] = W[at].transpose(1, 0, 2)
 
-    idx = _sample_rounds(T) - 1
-    traces = []
-    for r, plan in enumerate(plans):
-        Wr = np.ascontiguousarray(W[:, r])
-        cum = np.cumsum(plan.env.mean_loss_path(Wr))
-        hind = best_in_hindsight(plan.feasible, plan.env.hindsight())
-        comp_curve = np.cumsum(plan.env.mean_loss_curve(hind.point))
-        regret = cum - comp_curve
-        traces.append(
-            RegretTrace(
-                t=idx + 1,
-                cum_loss=cum[idx],
-                comparator=comp_curve[idx],
-                regret=regret[idx],
-                bits_up=bits_up[idx, r],
-                bits_down=bits_down[idx, r],
-                subopt=None,
-                approx_comparator=hind.approx,
-                comparator_point=hind.point,
-                comparator_value=hind.value,
-                decisions=Wr[idx] if keep_decisions else None,
-            )
+    hinds = [best_in_hindsight(p.feasible, fold.result()) for p, fold in zip(plans, folds)]
+    last = None
+    for c, a, b in envs._chunks(T):
+        rows = np.empty((b - a, R))
+        for r, (env, h) in enumerate(zip(members, hinds)):
+            rows[:, r] = env._curve_rows(c, h.point)
+        chunk_comp = _carry_cumsum(last, rows)
+        _check_finite("comparator", chunk_comp, range(a + 1, b + 1), plans)
+        last = chunk_comp[-1]
+        sel, at = _kept(rounds, a, b)
+        comp[:, sel] = chunk_comp[at].T
+        regret[:, sel] = cum[:, sel] - comp[:, sel]
+        _check_finite("regret", regret[:, sel].T, rounds[sel], plans)
+    return [
+        RegretTrace(
+            t=rounds,
+            cum_loss=cum[r],
+            comparator=comp[r],
+            regret=regret[r],
+            bits_up=bits_up[r],
+            bits_down=bits_down[r],
+            subopt=None,
+            approx_comparator=h.approx,
+            comparator_point=h.point,
+            comparator_value=h.value,
+            decisions=decisions[r] if keep_decisions else None,
         )
-    return traces
+        for r, h in enumerate(hinds)
+    ]
 
 
 def _run_o2b(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
@@ -495,7 +543,7 @@ def _run_o2b(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
             bits_up[t - 1] = eng.bits_up
             bits_down[t - 1] = eng.bits_down
         for field, rows in (("gradient", gbar), ("decision", Wp), ("iterate", X)):
-            _check_finite(field, rows[start:stop], start + 1, plans, "update")
+            _check_finite(field, rows[start:stop], range(start + 1, stop + 1), plans, "update")
 
     return [
         _o2b_trace(plan, *(np.ascontiguousarray(a[:, r]) for a in (X, Wp, gbar, bits_up, bits_down)), keep_decisions)

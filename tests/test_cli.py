@@ -56,6 +56,25 @@ def test_run_non_finite_decisions_exit_two(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_run_non_finite_losses_exit_two(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = ["run", "--env", "sc_quadratic", "--T", "200", "--n", "2", "--d", "4"]
+    args += ["--mu", "1e200", "--G", "1e300", "--D", "1e100", "--out", str(out)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "cum_loss" in err and "round 1 on" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env", ["linear", "convex_lower"])
+def test_env_p_outside_sc_lower_exits_two(env, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--env", env, "--T", "64", "--env-p", "0.9", "--out", str(out)]) == 2
+    assert "env_p" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_same_seed_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["run", "--T", "64", "--n", "3", "--d", "8", "--compressor", "randk:2", "--seed", "7"]

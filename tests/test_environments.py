@@ -60,7 +60,7 @@ def test_linear_losses_and_hindsight_consistent():
 
 def test_quadratic_gradient_definition():
     env = make_sc_quadratic_adversary(2, 1, 10, 1.0, 1.0, 1.0, seed=0)
-    b = env._b[0]
+    b = env._rows.rows(0, 1)[0]  # round 1's anchors, one row per learner
     np.testing.assert_allclose(env.grads(1, b[0])[0], [0.0])  # zero at the anchor
     g = env.grads(1, np.zeros(1))
     np.testing.assert_allclose(g, 1.0 * (np.zeros(1) - b))
@@ -95,10 +95,10 @@ def test_quadratic_round_average_minimizer_is_projected_mean():
     ).reshape(-1, 2)
     totals = np.zeros(pts.shape[0])
     for t in range(1, 7):
-        diffs = pts[:, None, :] - env._b[t - 1][None, :, :]
+        diffs = pts[:, None, :] - env._rows.rows(t - 1, t)[0][None, :, :]
         totals += 0.5 * env.mu * (diffs**2).sum(axis=2).mean(axis=1)
     grid_best = pts[int(np.argmin(totals))]
-    expected = env.feasible.project(env._b.mean(axis=(0, 1)))
+    expected = env.feasible.project(env._rows.rows(0, 6).mean(axis=(0, 1)))
     np.testing.assert_allclose(grid_best, expected, atol=1e-2)
     # Hindsight black-box agrees with the grid values and descent finds the mean.
     bb = env.hindsight()
@@ -196,7 +196,8 @@ def test_sc_lower_loss_expansion():
     n, d = 2, 2
     env = make_sc_lower_bound_env(n, d, 256, mu=1.0, D=2.0, delta=0.25, p=1.0, seed=3)
     w = env.feasible.project(np.array([0.3, 0.9]))
-    anchors = env._anchors[0]
+    env._hold(0)  # the chunk of rounds 1..256; round 1 lies in interval 0
+    anchors = env._anchors[env._local[0]]
     manual = 0.5 * np.mean([((w - a) ** 2).sum() for a in anchors])
     assert env.mean_loss_curve(w)[0] == pytest.approx(manual)
 
@@ -328,3 +329,203 @@ def test_lad_value_path_matches_value():
     path = problem.value_path(X)
     direct = np.array([problem.value(x) for x in X])
     np.testing.assert_allclose(path, direct, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Chunked rounds against full-table oracles
+# ---------------------------------------------------------------------------
+#
+# The oracles are plain copies of the full-table constructors the streaming
+# environments replaced: every round drawn at construction in one call.  The
+# streamed environments must give the same numbers bit for bit, in any order.
+
+
+class FullLinear:
+    def __init__(self, n, d, T, G, seed):
+        rng = np.random.default_rng(seed)
+        signs = rng.integers(0, 2, size=(T, n, d)).astype(np.float64) * 2.0 - 1.0
+        self._g = signs * (G / math.sqrt(d))
+        self._gbar = self._g.mean(axis=1)
+
+    def grads(self, t, w):
+        return self._g[t - 1]
+
+    def mean_loss_path(self, W):
+        return np.einsum("td,td->t", self._gbar, W)
+
+    def mean_loss_curve(self, w):
+        return self._gbar @ w
+
+    def hindsight(self):
+        return self._gbar.sum(axis=0)
+
+
+class FullQuadratic:
+    def __init__(self, n, d, T, mu, G, D, seed):
+        half = D / (2.0 * math.sqrt(d))
+        self.T, self.mu = T, float(mu)
+        rng = np.random.default_rng(seed)
+        self._b = rng.uniform(-half, half, size=(T, n, d))
+        self._bbar = self._b.mean(axis=1)
+        self._bsq = (self._b**2).sum(axis=2).mean(axis=1)
+
+    def grads(self, t, w):
+        return self.mu * (w - self._b[t - 1])
+
+    def mean_loss_path(self, W):
+        wsq = (W**2).sum(axis=1)
+        cross = np.einsum("td,td->t", self._bbar, W)
+        return 0.5 * self.mu * (wsq - 2.0 * cross + self._bsq)
+
+    def mean_loss_curve(self, w):
+        wsq = float(w @ w)
+        return 0.5 * self.mu * (wsq - 2.0 * (self._bbar @ w) + self._bsq)
+
+    def hindsight(self):
+        T, mu = self.T, self.mu
+        bmean = self._bbar.mean(axis=0)
+        const = float(self._bsq.sum())
+
+        def value(w):
+            return 0.5 * mu * (T * float(w @ w) - 2.0 * T * float(bmean @ w) + const)
+
+        def subgrad(w):
+            return mu * T * (w - bmean)
+
+        return value, subgrad, mu * T
+
+
+class FullIntervalLinear:
+    def __init__(self, n, d, T, G, D, delta, seed):
+        self.n, self.d, self.m = n, d, n // 2
+        self._idx = interval_boundaries(T, delta)
+        rng = np.random.default_rng(seed)
+        n_intervals = int(self._idx[-1]) + 1
+        signs = rng.integers(0, 2, size=(n_intervals, d)).astype(np.float64) * 2.0 - 1.0
+        self._z = signs * (G / math.sqrt(d))
+        self._frac = (n - self.m) / n
+
+    def grads(self, t, w):
+        out = np.zeros((self.n, self.d))
+        out[self.m :] = self._z[self._idx[t - 1]]
+        return out
+
+    def _zbar_rows(self):
+        return self._frac * self._z[self._idx]
+
+    def mean_loss_path(self, W):
+        return np.einsum("td,td->t", self._zbar_rows(), W)
+
+    def mean_loss_curve(self, w):
+        return self._zbar_rows() @ w
+
+    def hindsight(self):
+        lengths = np.bincount(self._idx).astype(np.float64)
+        return self._frac * (lengths[:, None] * self._z).sum(axis=0)
+
+
+class FullIntervalQuadratic:
+    def __init__(self, n, d, T, mu, D, delta, p, seed):
+        side = D / math.sqrt(d)
+        self.T, self.mu, self.m = T, float(mu), n // 2
+        self._idx = interval_boundaries(T, delta)
+        rng = np.random.default_rng(seed)
+        n_intervals = int(self._idx[-1]) + 1
+        ones = (rng.random(n_intervals) < p).astype(np.float64)
+        self._anchors = np.zeros((n_intervals, n, d))
+        self._anchors[:, self.m :, :] = (side * ones)[:, None, None]
+
+    def grads(self, t, w):
+        return self.mu * (w - self._anchors[self._idx[t - 1]])
+
+    def _per_round_terms(self):
+        abar = self._anchors.mean(axis=1)[self._idx]
+        asq = (self._anchors**2).sum(axis=2).mean(axis=1)[self._idx]
+        return abar, asq
+
+    def mean_loss_path(self, W):
+        abar, asq = self._per_round_terms()
+        wsq = (W**2).sum(axis=1)
+        return 0.5 * self.mu * (wsq - 2.0 * np.einsum("td,td->t", abar, W) + asq)
+
+    def mean_loss_curve(self, w):
+        abar, asq = self._per_round_terms()
+        return 0.5 * self.mu * (float(w @ w) - 2.0 * (abar @ w) + asq)
+
+    def hindsight(self):
+        abar, asq = self._per_round_terms()
+        T, mu = self.T, self.mu
+        amean = abar.mean(axis=0)
+        const = float(asq.sum())
+
+        def value(w):
+            return 0.5 * mu * (T * float(w @ w) - 2.0 * T * float(amean @ w) + const)
+
+        def subgrad(w):
+            return mu * T * (w - amean)
+
+        return value, subgrad, mu * T
+
+
+def _pair(kind, n, d, T, seed):
+    """(streamed environment, full-table oracle) built from the same arguments."""
+    if kind == "linear":
+        args = (n, d, T, 1.5, seed)
+        return make_linear_adversary(*args), FullLinear(*args)
+    if kind == "sc_quadratic":
+        args = (n, d, T, 0.5, 1.0, 1.5, seed)
+        return make_sc_quadratic_adversary(*args), FullQuadratic(*args)
+    if kind == "convex_lower":
+        delta = 1.0 if T < 8 else 1 / 3 if T < 700 else 1 / 300
+        args = (n, d, T, 1.0, 2.0, delta, seed)
+        return make_convex_lower_bound_env(*args), FullIntervalLinear(*args)
+    delta = 1.0 if T < 64 else 1 / 5 if T < 700 else 1 / 40
+    args = (n, d, T, 0.7, 1.5, delta, 0.4, seed)
+    return make_sc_lower_bound_env(*args), FullIntervalQuadratic(*args)
+
+
+ENV_KINDS = ("linear", "sc_quadratic", "convex_lower", "sc_lower")
+# T below one chunk, exactly one, a multiple, and not a multiple of the
+# 256-round chunk; d = 1 exercises numpy's pairwise sum of one column.
+CHUNK_SHAPES = [(3, 1, 20), (2, 3, 256), (4, 5, 300), (3, 1, 777), (8, 16, 1024), (2, 4, 1000)]
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ENV_KINDS)
+@pytest.mark.parametrize("n,d,T", CHUNK_SHAPES)
+def test_streamed_environment_matches_full_table(kind, n, d, T):
+    for seed in (0, 11):
+        env, full = _pair(kind, n, d, T, seed)
+        rng = np.random.default_rng(seed + 100)
+        W = rng.uniform(-0.3, 0.3, size=(T, d))
+        w = rng.uniform(-0.3, 0.3, size=d)
+        # Public calls interleaved, each rewinding the stream of the others.
+        assert _same(env.mean_loss_path(W), full.mean_loss_path(W))
+        for t in (1, T, (T + 1) // 2):
+            assert _same(env.grads(t, W[t - 1]), full.grads(t, W[t - 1]))
+        assert _same(env.mean_loss_curve(w), full.mean_loss_curve(w))
+        hind, want = env.hindsight(), full.hindsight()
+        if isinstance(want, tuple):
+            value, subgrad, mu = want
+            assert hind.mu == mu
+            for probe in (w, W[0], np.zeros(d)):
+                assert hind.value(probe) == value(probe)
+                assert _same(hind.subgrad(probe), subgrad(probe))
+        else:
+            assert _same(hind, want)
+        assert _same(env.mean_loss_path(W), full.mean_loss_path(W))
+
+
+@pytest.mark.parametrize("kind", ENV_KINDS)
+def test_streamed_grads_in_any_order(kind):
+    T = 700
+    env, full = _pair(kind, 3, 4, T, seed=5)
+    w = np.full(4, 0.1)
+    shuffled = np.random.default_rng(3).permutation(np.arange(1, T + 1))
+    for order in (range(1, T + 1), range(T, 0, -1), shuffled, [1, 600, 2, 599, 300, 300, T, 1]):
+        for t in order:
+            assert _same(env.grads(int(t), w), full.grads(int(t), w))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -83,11 +84,10 @@ def test_run_deterministic_traces():
 
 
 def test_run_zero_losses_zero_regret():
-    # Zero out the adversary's table: cumulative loss, comparator, and regret
-    # all collapse to exactly zero under a lossless compressor.
+    # Zero out every chunk the adversary draws: cumulative loss, comparator,
+    # and regret all collapse to exactly zero under a lossless compressor.
     plan = harness._resolve(RunConfig(T=64, n=2, d=3, compressor="identity", seed=0))
-    plan.env._g[:] = 0.0
-    plan.env._gbar[:] = 0.0
+    plan.env._rows.draw = lambda rng, k: np.zeros((k, 2, 3))
     trace = harness._run_online([plan], keep_decisions=False)[0]
     np.testing.assert_array_equal(trace.cum_loss, np.zeros(64))
     np.testing.assert_array_equal(trace.regret, np.zeros(64))
@@ -143,8 +143,27 @@ def test_comparator_flags():
     assert curved.approx_comparator
     # The descent comparator agrees with the closed-form projected mean.
     env = make_sc_quadratic_adversary(2, 3, 64, 0.5, 1.0, 1.0, derive_seed(0, harness._ENV))
-    expected = env.feasible.project(env._b.mean(axis=(0, 1)))
+    expected = env.feasible.project(env._rows.rows(0, 64).mean(axis=(0, 1)))
     np.testing.assert_allclose(curved.comparator_point, expected, atol=1e-6)
+
+
+def test_geometric_rows_match_the_dense_trace_and_a_full_pass():
+    # Above 2^16 rounds the trace keeps ~4k rows, so most chunks keep none.
+    # With eta fixed, the first 2^16 rounds replay a dense run exactly; the
+    # comparator column is checked against the public full-length calls.
+    cfg = RunConfig(T=70_000, n=2, d=2, eta=0.01, seed=3)
+    sparse, dense = run(cfg), run(replace(cfg, T=2**16))
+    assert sparse.t.shape[0] < 5000 and sparse.t[-1] == 70_000
+    head = sparse.t <= 2**16
+    for field in ("cum_loss", "bits_up", "bits_down"):
+        got, want = getattr(sparse, field)[head], getattr(dense, field)[sparse.t[head] - 1]
+        assert got.tobytes() == want.tobytes()
+    env = make_linear_adversary(2, 2, 70_000, 1.0, derive_seed(3, harness._ENV))
+    point = harness.best_in_hindsight(Ball(1.0, 2), env.hindsight()).point
+    assert point.tobytes() == sparse.comparator_point.tobytes()
+    curve = np.cumsum(env.mean_loss_curve(point))[sparse.t - 1]
+    assert curve.tobytes() == sparse.comparator.tobytes()
+    assert (sparse.cum_loss - curve).tobytes() == sparse.regret.tobytes()
 
 
 def test_trace_sampling_dense_and_geometric():
@@ -278,6 +297,97 @@ def test_o2b_rejects_non_finite_gradients(monkeypatch):
     with pytest.raises(ConfigError, match=r"not finite from update 5 on") as err:
         run(cfg)
     assert err.value.field == "gradient"
+
+
+def test_run_rejects_non_finite_losses():
+    # Finite decisions, but the loss overflows: (mu/2)||w - b||^2 at mu = 1e200
+    # on a box of diameter 1e100.
+    cfg = RunConfig(env="sc_quadratic", T=200, n=2, d=4, mu=1e200, G=1e300, D=1e100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConfigError, match=r"not finite from round 1 on \(seed 0\)") as err:
+            run(cfg)
+    assert err.value.field == "cum_loss"
+
+
+@pytest.mark.parametrize(
+    "field,loss,curve",
+    [("cum_loss", np.nan, None), ("comparator", None, np.inf), ("regret", 1e308, -1e308)],
+)
+def test_loss_columns_are_checked_round_by_round(monkeypatch, field, loss, curve):
+    # One bad value at round 300, in the second chunk of rounds.  The regret
+    # case keeps both running sums finite while their difference overflows.
+    def spike(rows, c, value):
+        rows = rows.copy()
+        if value is not None:
+            rows[c * harness.envs._CHUNK + 1 + np.arange(len(rows)) == 300] = value
+        return rows
+
+    class Spiked(LinearAdversary):
+        def _loss_rows(self, c, W):
+            return spike(super()._loss_rows(c, W), c, loss)
+
+        def _curve_rows(self, c, w):
+            return spike(super()._curve_rows(c, w), c, curve)
+
+    monkeypatch.setattr(harness.envs, "make_linear_adversary", lambda *args: Spiked(*args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConfigError, match=r"not finite from round 300 on \(seed 4\)") as err:
+            run(RunConfig(T=600, n=2, d=3, seed=4))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(env="linear"),
+        dict(env="sc_quadratic", mu=1.0, D=1.0),
+        dict(env="convex_lower"),
+        dict(algo="o2b", env="lad", compressor="randk:2", L=2),
+    ],
+)
+def test_env_p_is_rejected_where_it_does_not_apply(kw):
+    cfg = RunConfig(T=64, n=2, d=4, env_p=0.9, **kw)
+    with pytest.raises(ConfigError) as err:
+        run(cfg)
+    assert err.value.field == "env_p"
+    run(replace(cfg, env_p=0.5))  # the default is accepted
+
+
+def test_env_p_drives_sc_lower():
+    cfg = RunConfig(env="sc_lower", T=64, n=4, d=2, mu=1.0, compressor="randk:1")
+    assert run(replace(cfg, env_p=0.0)).final_regret != run(replace(cfg, env_p=1.0)).final_regret
+
+
+def _peak_beyond_traces(call) -> int:
+    """Traced peak bytes of ``call()`` minus the bytes of the arrays in the traces it returns."""
+    tracemalloc.start()
+    try:
+        traces = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = {id(a): a for tr in traces for a in vars(tr).values() if isinstance(a, np.ndarray)}
+    return peak - sum(a.nbytes for a in arrays.values())
+
+
+def test_run_memory_does_not_grow_with_T():
+    # Everything a run holds beyond its sampled rows is a chunk of rounds.
+    def peak(T):
+        cfg = RunConfig(T=T, n=2, d=4, compressor="randk:2", seed=1)
+        return _peak_beyond_traces(lambda: [run(cfg)])
+
+    peak(2**10)  # warms numpy's and the interpreter's caches
+    assert peak(2**16) <= 1.3 * peak(2**14)
+
+
+def test_lockstep_batch_memory_per_replication_does_not_grow_with_T():
+    # monte_carlo's lockstep batch: four replications, each with its own environment.
+    def peak(T):
+        cfg = RunConfig(algo="dftfcl", T=T, n=2, d=4, compressor="randk:2")
+        return _peak_beyond_traces(lambda: harness._run_batch(cfg, (11, 12, 13, 14)))
+
+    peak(2**8)  # warms numpy's and the interpreter's caches
+    assert peak(2**14) <= 1.3 * peak(2**12)
 
 
 # ---------------------------------------------------------------------------
