@@ -54,6 +54,19 @@ def _chunks(T: int):
     return ((a // _CHUNK, a, min(a + _CHUNK, T)) for a in range(0, T, _CHUNK))
 
 
+def _signs(rng: np.random.Generator, shape: tuple, scale: float) -> np.ndarray:
+    """Coordinates uniform on {-scale, +scale}: (2 * integers(0, 2) - 1) * scale, in place.
+
+    int32 output takes the same 32-bit draws, and gives the same values, as
+    the default int64.
+    """
+    signs = rng.integers(0, 2, size=shape, dtype=np.int32).astype(np.float64)
+    signs *= 2.0
+    signs -= 1.0
+    signs *= scale
+    return signs
+
+
 class _Rows:
     """Rows of a table drawn in order from one seeded stream, holding only the last rows served.
 
@@ -213,9 +226,7 @@ class LinearAdversary(_LinearLosses):
         self._rows = _Rows(seed, self._draw)
 
     def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        # int32 output takes the same 32-bit draws, and gives the same values, as the default int64.
-        signs = rng.integers(0, 2, size=(k, self.n, self.d), dtype=np.int32).astype(np.float64) * 2.0 - 1.0
-        return signs * self._scale
+        return _signs(rng, (k, self.n, self.d), self._scale)
 
     def _load(self, a: int, b: int) -> None:
         self._g = self._rows.rows(a, b)
@@ -302,8 +313,7 @@ class IntervalLinearEnv(_LinearLosses):
         self._frac = (n - self.m) / n
 
     def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        signs = rng.integers(0, 2, size=(k, self.d), dtype=np.int32).astype(np.float64) * 2.0 - 1.0
-        return signs * self._scale
+        return _signs(rng, (k, self.d), self._scale)
 
     def _load(self, a: int, b: int) -> None:
         idx = _interval_index(a, b, self._K, self._Z)
