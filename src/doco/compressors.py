@@ -165,6 +165,7 @@ class _SenderBank:
         self._call_bits = self._shape[-1] * self._msg_bits  # one round of one replication's senders
         self._draws = self._gossip or (isinstance(spec, RandK) and spec.k < d)
         self._keep: np.ndarray | None = None  # drawn on first use, never at construction
+        self._uniforms: np.ndarray | None = None  # randk: the chunk's uniforms, (stream, call, coordinate)
         self._saved = None  # gossip: bits the failed messages of each call save, per replication
         self._used = _CHUNK  # calls served from the current chunk
 
@@ -187,12 +188,17 @@ class _SenderBank:
             self._saved = saved.tolist() if len(self._shape) == 1 else saved
             self._keep = keep[..., None]
             return
-        # The k smallest of d i.i.d. uniforms index a uniform k-subset.
-        U = np.stack([rng.random((_CHUNK, self.d)) for rng in self.rngs], axis=1)
-        keep = np.argpartition(U, spec.k, axis=-1)[..., : spec.k]
-        mask = np.zeros(U.shape, dtype=bool)
+        # The k smallest of d i.i.d. uniforms index a uniform k-subset.  The
+        # uniforms go to one buffer, stream by stream: a fresh stack per chunk
+        # made glibc hand its heap pages back and fault them in again.
+        if self._uniforms is None:
+            self._uniforms = np.empty((len(self.rngs), _CHUNK, self.d))
+        for rng, block in zip(self.rngs, self._uniforms):
+            rng.random(out=block)
+        keep = np.argpartition(self._uniforms, spec.k, axis=-1)[..., : spec.k]
+        mask = np.zeros(self._uniforms.shape, dtype=bool)
         np.put_along_axis(mask, keep, True, axis=-1)
-        self._keep = mask.reshape(lead + (self.d,))
+        self._keep = mask.transpose(1, 0, 2).reshape(lead + (self.d,))
 
     def send(self, X: np.ndarray, rounds: int = 1):
         """Row-wise ``rounds``-round residual compression: round 1 compresses X,

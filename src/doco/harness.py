@@ -366,7 +366,7 @@ def run(config: RunConfig, keep_decisions: bool = False) -> RegretTrace:
 
 
 _BATCH = 16  # most replications one engine advances in lockstep; each holds its own environment
-_CHECK_ROUNDS = 256  # rounds (o2b: updates) between finiteness checks of the recorded paths
+_CHECK_ROUNDS = 256  # o2b updates between finiteness checks; online runs check each environment chunk
 
 
 def _run_batch(config: RunConfig, seeds: tuple, keep_decisions: bool = False) -> list[RegretTrace]:
@@ -451,9 +451,10 @@ def _run_online(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
     """Play the rounds a chunk of the environments at a time, then take a
     second pass over the re-drawn chunks for the comparator's losses.
 
-    Per chunk the first pass records decisions and bit counts, checks the
-    decisions, and folds each replication's mean losses into its cumulative
-    loss and its hindsight sum; only the sampled rows are kept.
+    Per chunk the first pass records decisions and bit counts, folds each
+    replication's mean losses into its cumulative loss and its hindsight sum,
+    and checks the decisions and cumulative losses; the second pass checks
+    the comparator and the regret.  Only the sampled rows are kept.
     """
     plan, R = plans[0], len(plans)
     T, d = plan.env.T, plan.env.d
