@@ -168,7 +168,8 @@ class _Online:
 
 
 class _LinearLosses(_Online):
-    """Mean loss <gbar_t, w>: a chunk holds its mean-gradient rows ``_gbar``."""
+    """Mean loss <gbar_t, w>: a chunk holds its mean-gradient rows ``_gbar``,
+    and the hindsight description is their sum."""
 
     mu = 0.0
 
@@ -179,6 +180,13 @@ class _LinearLosses(_Online):
     def _curve_rows(self, c: int, w: np.ndarray) -> np.ndarray:
         self._hold(c)
         return self._gbar @ w
+
+    def _hind_terms(self, c: int) -> tuple:
+        self._hold(c)
+        return (self._gbar,)
+
+    def _hind_result(self, gbar_sum: np.ndarray) -> np.ndarray:
+        return gbar_sum
 
 
 class _QuadraticLosses(_Online):
@@ -234,13 +242,6 @@ class LinearAdversary(_LinearLosses):
 
     def _grads(self, i: int, w: np.ndarray) -> np.ndarray:
         return self._g[i]
-
-    def _hind_terms(self, c: int) -> tuple:
-        self._hold(c)
-        return (self._gbar,)
-
-    def _hind_result(self, gbar_sum: np.ndarray) -> np.ndarray:
-        return gbar_sum
 
 
 class QuadraticAdversary(_QuadraticLosses):
@@ -331,7 +332,7 @@ class IntervalLinearEnv(_LinearLosses):
         # Each interval's term, length * z_i, joins the sum in the chunk where the interval starts.
         self._hold(c)
         a = c * _CHUNK
-        first = int(_interval_index(a - 1, a, self._K, self._Z)[0]) + 1 if a else 0
+        first = min((a - 1) // self._K, self._Z) + 1 if a else 0
         ks = np.arange(first, self._lo + len(self._z))
         lengths = np.where(ks == self._Z, self.T - self._Z * self._K, self._K).astype(np.float64)
         return (lengths[:, None] * self._z[first - self._lo :],)
