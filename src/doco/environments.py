@@ -135,7 +135,7 @@ class _Online:
     """Base of the online environments: rounds are served a chunk of
     ``_CHUNK`` at a time, and ``_load(a, b)`` sets up rounds a+1..b.
 
-    The driver reads a chunk's mean-loss rows, comparator rows and hindsight
+    A run reads a chunk's mean-loss rows, comparator rows and hindsight
     terms (``_loss_rows``, ``_curve_rows``, ``_hind_terms``); the public
     methods are the same calls over every chunk.
     """
