@@ -1,7 +1,7 @@
 """Golden traces: sha256 of the CSV bytes of a small configuration matrix.
 
-The hashes pin the trace bytes of ``run`` and ``monte_carlo``, and the rows
-of the error-energy checks, so a change to how randomness is drawn, or to any
+The hashes pin the trace bytes of ``run`` and ``monte_carlo``, the CSV of
+``doco sweep``, and the rows of the error-energy checks, so a change to how randomness is drawn, or to any
 arithmetic on the trace or check path, shows up as a failure here.  A change
 that alters trace bytes on purpose must say why and re-record these hashes in
 the same change.
@@ -23,6 +23,7 @@ import hashlib
 import pytest
 
 from doco import RunConfig, harness, monte_carlo, run
+from doco.cli import main
 from doco.compressors import parse_compressor
 
 T = 600
@@ -184,3 +185,37 @@ VERIFY_SHA256 = {
 def test_verify_rows(label):
     report = VERIFY[label]()
     assert hashlib.sha256(repr(report).encode()).hexdigest() == VERIFY_SHA256[label]
+
+
+# ``doco sweep`` argv without --workers and --out.  The 3 x 3 gossip grid is
+# the benchmark's sweep at small T with fewer replications than 3 workers; the
+# randk delta grid has 6 points and 5 replications, more of both than
+# workers; the one-point o2b grid splits its replications over the workers.
+SWEEP = {
+    "dftcl/convex_lower/gossip/3x3/reps2": [
+        "--algo", "dftcl", "--env", "convex_lower", "--n", "8", "--d", "16", "--compressor", "gossip:0.25",
+        "--delta-grid", "0.25,0.125,0.0625", "--T-grid", "64,128,256", "--reps", "2", "--seed", "3",
+    ],
+    "dftfcl/linear/randk/2x3/reps5": [
+        "--algo", "dftfcl", "--env", "linear", "--n", "3", "--d", "8", "--compressor", "randk:2",
+        "--delta-grid", "1.0,0.5,0.25", "--T-grid", "96,160", "--reps", "5", "--seed", "8",
+    ],
+    "o2b/lad/randk/1x1/reps5": [
+        "--algo", "o2b", "--env", "lad", "--n", "3", "--d", "4", "--samples", "16", "--compressor", "randk:2",
+        "--T-grid", "400", "--reps", "5", "--seed", "2",
+    ],
+}  # fmt: skip
+
+SWEEP_SHA256 = {
+    "dftcl/convex_lower/gossip/3x3/reps2": "15206c18ebd1ad596851a523f84c7179f63c1f9c78e5bd3cb119350f24df591c",
+    "dftfcl/linear/randk/2x3/reps5": "6dc12e476bb6da82d602860a79958c5814d193c3c72e192f13233ed65230b5e0",
+    "o2b/lad/randk/1x1/reps5": "c2f2d24226d8ccbe6f359bd54e95dfc50863abad5536ae18c28f3731fad2034a",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("label", SWEEP)
+def test_sweep_csv_bytes_any_worker_count(label, workers, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *SWEEP[label], "--workers", str(workers), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[label]
