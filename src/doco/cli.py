@@ -27,6 +27,7 @@ from .domains import ConfigError
 from .harness import (
     VERIFY_IDS,
     RunConfig,
+    _monte_carlo_many,
     fit_rate,
     monte_carlo,
     verify_lemma,
@@ -209,12 +210,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         specs = [(nominal_delta(base_spec, base.d), base_spec)]
 
-    results: dict = {}
-    for delta, spec in specs:
-        for T in T_grid:
-            cfg = replace(base, compressor=spec, T=int(T))
-            mean = monte_carlo(cfg)
-            results[(delta, int(T))] = (mean.final_regret, mean.final_regret_stderr)
+    for name, grid in (("T_grid", T_grid), ("delta_grid", [dl for dl, _ in specs])):
+        repeated = sorted({v for v in grid if grid.count(v) > 1})
+        if repeated:
+            raise ConfigError(name, f"repeated grid values {repeated}")
+    points = [(delta, spec, int(T)) for delta, spec in specs for T in T_grid]
+    means = _monte_carlo_many([replace(base, compressor=spec, T=T) for _, spec, T in points], base.reps, base.workers)
+    results = {(delta, T): (mean.final_regret, mean.final_regret_stderr) for (delta, _, T), mean in zip(points, means)}
 
     t_fit: dict = {}
     for delta, _ in specs:

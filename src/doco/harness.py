@@ -608,33 +608,89 @@ def monte_carlo(config: RunConfig, reps: int | None = None, workers: int | None 
     """
     reps = config.reps if reps is None else reps
     workers = config.workers if workers is None else workers
+    return _monte_carlo_many([config], reps, workers)[0]
+
+
+def _monte_carlo_many(configs: list[RunConfig], reps: int, workers: int) -> list[MeanTrace]:
+    """:func:`monte_carlo` of every config, sharing one pool of ``workers`` processes.
+
+    Every config is resolved before any replication runs.  Each config's
+    replications split into :func:`_batches` for ceil(workers / len(configs))
+    workers, so one config gets exactly ``monte_carlo``'s split.  The (config,
+    batch) tasks go to one pool, the largest T x batch first, or run in
+    process at one worker or one task.  They are gathered in config and
+    replication order, so the bytes, and the error raised when tasks fail,
+    do not depend on ``workers``.
+    """
     reps = _require_positive_int("reps", reps)
     workers = _require_positive_int("workers", workers)
-    batches = _batches(config.seed, reps, workers)
-    if workers > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_batch, [config] * len(batches), batches))
-    else:
-        results = [_run_batch(config, batch) for batch in batches]
-    traces = [tr for batch in results for tr in batch]
-    regret = np.stack([tr.regret for tr in traces])
-    out = MeanTrace(
-        t=traces[0].t,
-        cum_loss=np.stack([tr.cum_loss for tr in traces]).mean(axis=0),
-        comparator=np.stack([tr.comparator for tr in traces]).mean(axis=0),
-        regret=regret.mean(axis=0),
-        regret_stderr=_stderr(regret),
-        bits_up=np.stack([tr.bits_up for tr in traces]).mean(axis=0),
-        bits_down=np.stack([tr.bits_down for tr in traces]).mean(axis=0),
-        subopt=None,
-        subopt_stderr=None,
-        reps=reps,
-    )
-    if traces[0].subopt is not None:
-        sub = np.stack([tr.subopt for tr in traces])
-        out.subopt = sub.mean(axis=0)
-        out.subopt_stderr = _stderr(sub)
-    return out
+    for cfg in configs:
+        _resolve(cfg)
+    share = math.ceil(workers / len(configs))
+    tasks = [(i, batch) for i, cfg in enumerate(configs) for batch in _batches(cfg.seed, reps, share)]
+    folds = [_MeanFold(reps) for _ in configs]
+    if workers == 1 or len(tasks) == 1:
+        for i, batch in tasks:
+            folds[i].add(_run_batch(configs[i], batch))
+        return [fold.result() for fold in folds]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        largest_first = sorted(range(len(tasks)), key=lambda k: -configs[tasks[k][0]].T * len(tasks[k][1]))
+        futures = {k: pool.submit(_run_batch, configs[tasks[k][0]], tasks[k][1]) for k in largest_first}
+        try:
+            for k, (i, _) in enumerate(tasks):
+                folds[i].add(futures.pop(k).result())
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return [fold.result() for fold in folds]
+
+
+def _carry_sum(acc, rows: list[np.ndarray]) -> np.ndarray:
+    """Carry the axis-0 sum of (S,) rows that arrive a batch at a time; the
+    final ``np.add.reduce(acc, axis=0, dtype=np.float64)`` has the bits of that
+    sum over all the rows at once.  numpy sums a one-column stack pairwise, so
+    at S = 1 the rows themselves are carried."""
+    stack = np.vstack(rows if acc is None else [acc, *rows])
+    if stack.shape[1] == 1:
+        return stack
+    return np.add.reduce(stack, axis=0, keepdims=True, dtype=np.float64)
+
+
+class _MeanFold:
+    """One config's :class:`MeanTrace`, folded from its batches of traces in
+    replication order.  The mean columns are carried as running sums; only
+    the regret (and subopt) rows, which the standard errors need, are kept."""
+
+    _SUMMED = ("cum_loss", "comparator", "bits_up", "bits_down")
+
+    def __init__(self, reps: int):
+        self.reps, self.seen = reps, 0
+        self.sums = dict.fromkeys(self._SUMMED)
+
+    def add(self, traces: list[RegretTrace]) -> None:
+        if self.seen == 0:
+            first = traces[0]
+            self.t = first.t
+            self.regret = np.empty((self.reps, first.t.shape[0]))
+            self.subopt = None if first.subopt is None else np.empty_like(self.regret)
+        for name in self._SUMMED:
+            self.sums[name] = _carry_sum(self.sums[name], [getattr(tr, name) for tr in traces])
+        for tr in traces:
+            self.regret[self.seen] = tr.regret
+            if self.subopt is not None:
+                self.subopt[self.seen] = tr.subopt
+            self.seen += 1
+
+    def result(self) -> MeanTrace:
+        means = {name: np.add.reduce(acc, axis=0, dtype=np.float64) / self.reps for name, acc in self.sums.items()}
+        regret = self.regret.mean(axis=0)  # before _stderr overwrites the rows
+        out = MeanTrace(
+            t=self.t, regret=regret, regret_stderr=_stderr(self.regret), subopt=None, subopt_stderr=None, reps=self.reps, **means
+        )
+        if self.subopt is not None:
+            out.subopt = self.subopt.mean(axis=0)
+            out.subopt_stderr = _stderr(self.subopt)
+        return out
 
 
 def _batches(seed: int, reps: int, workers: int) -> list[tuple]:
@@ -649,9 +705,15 @@ def _batches(seed: int, reps: int, workers: int) -> list[tuple]:
 
 
 def _stderr(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[0] < 2:
+    """Standard errors of the column means of ``rows``: the bits of
+    ``rows.std(axis=0, ddof=1) / sqrt(n)``, computed in place, so ``rows`` is
+    overwritten."""
+    n = rows.shape[0]
+    if n < 2:
         return np.zeros(rows.shape[1])
-    return rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
+    rows -= np.add.reduce(rows, axis=0) / n
+    rows *= rows
+    return np.sqrt(np.add.reduce(rows, axis=0) / (n - 1)) / math.sqrt(n)
 
 
 def fit_rate(xs, ys) -> tuple[float, float]:

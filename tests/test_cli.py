@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import doco.environments as envs
+import doco.harness as harness
 from doco.cli import config_to_text, main, parse_config_file
+from doco.compressors import derive_seed
 from doco.domains import ConfigError
 
 
@@ -41,8 +44,6 @@ def test_negative_seed_exits_two(command, tmp_path, monkeypatch, capsys):
 
 
 def test_run_non_finite_decisions_exit_two(tmp_path, monkeypatch, capsys):
-    import doco.environments as envs
-
     class NanGradients(envs.LinearAdversary):
         def grads(self, t, w):
             return super().grads(t, w) * (np.nan if t >= 37 else 1.0)
@@ -207,6 +208,53 @@ def test_sweep_exponent_fits_present_with_three_point_grid(tmp_path):
     row = out.read_text().splitlines()[1].split(",")
     exponent = float(row[4])
     assert np.isfinite(exponent)
+
+
+SWEEP_BASE = ["sweep", "--n", "2", "--d", "3", "--compressor", "identity", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "grid,field",
+    [(["--T-grid", "256,256,512"], "T_grid"), (["--T", "64", "--delta-grid", "1.0,0.5,1.0"], "delta_grid")],
+)
+def test_sweep_rejects_repeated_grid_values(grid, field, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = ["sweep", "--n", "2", "--d", "4", "--compressor", "randk:2", "--out", str(out)] + grid
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert field in err and "repeated" in err
+    assert not out.exists()
+
+
+def test_sweep_resolves_every_grid_point_before_running_any(tmp_path, monkeypatch, capsys):
+    calls = []
+    run_batch = harness._run_batch
+    monkeypatch.setattr(harness, "_run_batch", lambda *a, **k: calls.append(a) or run_batch(*a, **k))
+    out = tmp_path / "x.csv"
+    assert main(SWEEP_BASE + ["--T-grid", "256,512,0", "--out", str(out)]) == 2
+    assert "T: must be >= 1" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_sweep_task_errors_exit_two_with_one_message_at_any_worker_count(tmp_path, monkeypatch, capsys):
+    # Every grid point fails, from round T/2 on; each worker count reports the
+    # first grid point's first replication, as the in-process sweep meets it.
+    class NanGradients(envs.LinearAdversary):
+        def grads(self, t, w):
+            return super().grads(t, w) * (np.nan if t >= self.T // 2 else 1.0)
+
+    monkeypatch.setattr(envs, "make_linear_adversary", lambda *args: NanGradients(*args))
+    out = tmp_path / "x.csv"
+    errors = []
+    for workers in ("1", "2", "3"):
+        args = SWEEP_BASE + ["--T-grid", "64,128,256", "--reps", "3", "--workers", workers, "--out", str(out)]
+        assert main(args) == 2
+        errors.append(capsys.readouterr().err)
+    seed = derive_seed(1, harness._REP, 0)
+    assert errors[0] == f"configuration error - decision: not finite from round 33 on (seed {seed})\n"
+    assert errors[1] == errors[0] and errors[2] == errors[0]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

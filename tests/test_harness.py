@@ -11,6 +11,7 @@ from doco.domains import Ball, Box, ConfigError
 from doco.environments import LadProblem, LinearAdversary, make_linear_adversary, make_sc_quadratic_adversary
 from doco.harness import (
     MeanTrace,
+    RegretTrace,
     RunConfig,
     fit_rate,
     monte_carlo,
@@ -254,6 +255,16 @@ def test_monte_carlo_bytes_equal_mean_of_single_runs(cfg, reps, workers, tmp_pat
     assert mean.read_bytes() == ref.read_bytes()
 
 
+def test_monte_carlo_one_row_trace_bytes_equal_mean_of_single_runs(tmp_path):
+    # At T = 1 every column stacks into one column, which numpy sums pairwise,
+    # so 50 replications in batches of 12, 13, 12 and 13 need the rows, not running sums.
+    cfg = RunConfig(env="sc_quadratic", T=1, n=3, d=5, mu=0.4, compressor="gossip:0.5", seed=0)
+    mean, ref = tmp_path / "mean.csv", tmp_path / "ref.csv"
+    monte_carlo(cfg, reps=50, workers=1).to_csv(mean)
+    _mean_of_runs(cfg, 50).to_csv(ref)
+    assert mean.read_bytes() == ref.read_bytes()
+
+
 class _NanFrom37(LinearAdversary):
     """The linear adversary, but every gradient from round 37 on is NaN."""
 
@@ -388,6 +399,39 @@ def test_lockstep_batch_memory_per_replication_does_not_grow_with_T():
 
     peak(2**8)  # warms numpy's and the interpreter's caches
     assert peak(2**14) <= 1.3 * peak(2**12)
+
+
+def test_monte_carlo_holds_one_row_per_replication(monkeypatch):
+    # Beyond the batch in flight, monte_carlo keeps a running sum per mean
+    # column and one regret row per replication, which the stderr needs.
+    S = 2**14
+    t = np.arange(1, S + 1)
+
+    def batch(config, seeds, keep_decisions=False):
+        def trace(seed):
+            col = lambda: np.full(S, float(seed % 97))  # noqa: E731
+            bits = lambda: np.full(S, seed % 5, dtype=np.int64)  # noqa: E731
+            return RegretTrace(
+                t=t, cum_loss=col(), comparator=col(), regret=col(), bits_up=bits(), bits_down=bits(),
+                subopt=None, approx_comparator=False, comparator_point=np.zeros(2), comparator_value=0.0,
+            )  # fmt: skip
+
+        return [trace(s) for s in seeds]
+
+    monkeypatch.setattr(harness, "_run_batch", batch)
+
+    def peak(reps):
+        tracemalloc.start()
+        try:
+            monte_carlo(RunConfig(T=S, n=2, d=2), reps=reps, workers=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # warms numpy's and the interpreter's caches
+    # 32 and 64 replications both run in full batches of 16.
+    per_replication = (peak(64) - peak(32)) / 32
+    assert per_replication <= 1.25 * S * 8
 
 
 # ---------------------------------------------------------------------------
