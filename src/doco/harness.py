@@ -632,16 +632,16 @@ def _monte_carlo_many(configs: list[RunConfig], reps: int, workers: int) -> list
     if workers == 1 or len(tasks) == 1:
         for i, batch in tasks:
             folds[i].add(_run_batch(configs[i], batch))
-        return [fold.result() for fold in folds]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        largest_first = sorted(range(len(tasks)), key=lambda k: -configs[tasks[k][0]].T * len(tasks[k][1]))
-        futures = {k: pool.submit(_run_batch, configs[tasks[k][0]], tasks[k][1]) for k in largest_first}
-        try:
-            for k, (i, _) in enumerate(tasks):
-                folds[i].add(futures.pop(k).result())
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            largest_first = sorted(range(len(tasks)), key=lambda k: -configs[tasks[k][0]].T * len(tasks[k][1]))
+            futures = {k: pool.submit(_run_batch, configs[tasks[k][0]], tasks[k][1]) for k in largest_first}
+            try:
+                for k, (i, _) in enumerate(tasks):
+                    folds[i].add(futures.pop(k).result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     return [fold.result() for fold in folds]
 
 
