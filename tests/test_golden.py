@@ -164,7 +164,15 @@ def test_monte_carlo_trace_bytes_any_worker_count(label, tmp_path):
 
 # sha256 of ``repr`` of each check's report.  17 seeds make two lockstep
 # batches (9 + 8); randk:3 at d=16 gives L = 6, so T = 2000 ends inside a block.
+# The fcc_contraction rows go through the public ``compress`` and ``fcc``: the
+# default check as ``doco verify`` runs it, and each other compressor kind.
 VERIFY = {
+    "fcc_contraction/randk:8/5000": lambda: harness.verify_fcc_contraction(),
+    "fcc_contraction/randk:3/300": lambda: harness.verify_fcc_contraction(trials=300, spec=parse_compressor("randk:3")),
+    "fcc_contraction/gossip:0.5/300": lambda: harness.verify_fcc_contraction(
+        trials=300, spec=parse_compressor("gossip:0.5")
+    ),
+    "fcc_contraction/sign/300": lambda: harness.verify_fcc_contraction(trials=300, spec=parse_compressor("sign")),
     "dftcl_errors/randk:4/17": lambda: harness.verify_dftcl_errors(seeds=17),
     "dftfcl_errors/randk:3/17": lambda: harness.verify_dftfcl_errors(seeds=17, spec=parse_compressor("randk:3")),
     "dftcl_errors/gossip:0.5/2": lambda: harness.verify_dftcl_errors(seeds=2, spec=parse_compressor("gossip:0.5")),
@@ -173,6 +181,10 @@ VERIFY = {
 }
 
 VERIFY_SHA256 = {
+    "fcc_contraction/randk:8/5000": "1fe26c469abca3b0e454ad01ffb68dbd003a1fe0f5954f02ec9b86212c1a945c",
+    "fcc_contraction/randk:3/300": "935eceb851198e312e46adde955bf2e92a13ba80e3dae4eb5fea1d86a9c3ec2f",
+    "fcc_contraction/gossip:0.5/300": "3978bfd408fe2f66a1db99f60ac29fe036ae2f1d1e5554a5e297fb1e10c44414",
+    "fcc_contraction/sign/300": "baa8867fb95be6c5ba805676273bb748e715f2c2f1cc4cd54a178a99e665b606",
     "dftcl_errors/randk:4/17": "59a5a5242f11fa6979fced13c2d1a9b9ffa4bb10439c9d98f3d30a8a690c2bf3",
     "dftfcl_errors/randk:3/17": "7b8571d63a23dc17f0a2c1b7928f2c6345bea20e8353650409fd0013d3e325a6",
     "dftcl_errors/gossip:0.5/2": "1cb3b8843180d06dd408b8bc91fa7c73d6bd247995398c148e4419dae1e9c688",
