@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .compressors import RandK, RandomGossip, nominal_delta, parse_compressor
+from .compressors import nominal_delta, parse_compressor
 from .domains import ConfigError
 from .harness import (
     VERIFY_IDS,
@@ -180,20 +180,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_for_delta(base_spec, delta: float, d: int):
-    """Instantiate the sweep's compressor family at a target contraction factor."""
-    if isinstance(base_spec, RandK):
-        k = round(delta * d)
-        if k < 1 or k > d:
-            raise ConfigError("delta_grid", f"delta={delta} gives k={k} outside [1, {d}]")
-        if abs(k / d - delta) > 1e-9:
-            raise ConfigError("delta_grid", f"delta={delta} is not representable as k/d with d={d}")
-        return RandK(k)
-    if isinstance(base_spec, RandomGossip):
-        return RandomGossip(delta)
-    raise ConfigError("compressor", "sweeping delta needs a randk or gossip compressor")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     values = _gather(args, extra=("out", "T_grid", "delta_grid"))
     out = values.pop("out", None)
@@ -206,11 +192,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base_spec = parse_compressor(base.compressor) if isinstance(base.compressor, str) else base.compressor
     delta_grid = values.pop("delta_grid", None)
     if delta_grid:
-        specs = [(float(dl), _spec_for_delta(base_spec, float(dl), base.d)) for dl in delta_grid]
+        specs = [(float(dl), base_spec.at_delta(float(dl), base.d)) for dl in delta_grid]
     else:
         specs = [(nominal_delta(base_spec, base.d), base_spec)]
 
-    for name, grid in (("T_grid", T_grid), ("delta_grid", [dl for dl, _ in specs])):
+    # Deltas repeat as the compressors they resolve to: near-equal deltas can
+    # round to one randk spec, and would give the same rows twice.
+    for name, grid in (("T_grid", T_grid), ("delta_grid", [spec.label() for _, spec in specs])):
         repeated = sorted({v for v in grid if grid.count(v) > 1})
         if repeated:
             raise ConfigError(name, f"repeated grid values {repeated}")

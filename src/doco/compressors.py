@@ -38,29 +38,81 @@ __all__ = [
 ]
 
 
+class _Spec:
+    """A compressor spec answers ``delta(d)`` (which checks the spec against d),
+    ``message_bits(d)`` of one delivered message, ``label()`` (its
+    :func:`parse_compressor` text) and ``at_delta(delta, d)``: its family's spec
+    at that contraction factor."""
+
+    def message_bits(self, d: int) -> int:
+        return 64 * d  # d reals
+
+    def at_delta(self, delta: float, d: int) -> CompressorSpec:
+        raise ConfigError("compressor", "sweeping delta needs a randk or gossip compressor")
+
+
 @dataclass(frozen=True)
-class Identity:
+class Identity(_Spec):
     """Lossless pass-through; delta = 1."""
 
+    def delta(self, d: int) -> float:
+        return 1.0
+
+    def label(self) -> str:
+        return "identity"
+
 
 @dataclass(frozen=True)
-class RandK:
+class RandK(_Spec):
     """Keep k uniformly chosen coordinates (no rescaling); delta = k/d."""
 
     k: int
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ConfigError("compressor", f"randk requires an integer k, got {self.k!r}")
         if self.k < 1:
             raise ConfigError("compressor", f"randk requires k >= 1, got {self.k}")
 
+    def delta(self, d: int) -> float:
+        if self.k > d:
+            raise ConfigError("compressor", f"randk k={self.k} exceeds dimension d={d}")
+        return self.k / d
+
+    def message_bits(self, d: int) -> int:
+        index_bits = math.ceil(math.log2(d)) if d > 1 else 0
+        return self.k * (64 + index_bits)  # k reals and their indices
+
+    def label(self) -> str:
+        return f"randk:{self.k}"
+
+    def at_delta(self, delta: float, d: int) -> RandK:
+        if not 0.0 < delta <= 1.0:  # also nan and inf, which round() cannot take
+            raise ConfigError("delta_grid", f"delta={delta} is not in (0, 1]")
+        k = round(delta * d)
+        if k < 1:
+            raise ConfigError("delta_grid", f"delta={delta} gives k={k} outside [1, {d}]")
+        if abs(k / d - delta) > 1e-9:
+            raise ConfigError("delta_grid", f"delta={delta} is not representable as k/d with d={d}")
+        return RandK(k)
+
 
 @dataclass(frozen=True)
-class ScaledSign:
+class ScaledSign(_Spec):
     """(||x||_1 / d) * sign(x) with sign(0) = +1; delta = 1/d."""
 
+    def delta(self, d: int) -> float:
+        return 1.0 / d
+
+    def message_bits(self, d: int) -> int:
+        return d + 64  # d signs and the scale
+
+    def label(self) -> str:
+        return "sign"
+
 
 @dataclass(frozen=True)
-class RandomGossip:
+class RandomGossip(_Spec):
     """Transmit x intact with probability p, else nothing; delta = p."""
 
     p: float
@@ -68,6 +120,15 @@ class RandomGossip:
     def __post_init__(self):
         if not (0.0 < self.p <= 1.0):
             raise ConfigError("compressor", f"gossip requires p in (0, 1], got {self.p}")
+
+    def delta(self, d: int) -> float:
+        return self.p
+
+    def label(self) -> str:
+        return f"gossip:{self.p!r}"
+
+    def at_delta(self, delta: float, d: int) -> RandomGossip:
+        return RandomGossip(delta)
 
 
 CompressorSpec = Union[Identity, RandK, ScaledSign, RandomGossip]
@@ -83,57 +144,12 @@ def nominal_delta(spec: CompressorSpec, d: int) -> float:
     """Contraction factor of the compressor in ambient dimension d."""
     if d < 1:
         raise ConfigError("d", f"must be >= 1, got {d}")
-    if isinstance(spec, Identity):
-        return 1.0
-    if isinstance(spec, RandK):
-        if spec.k > d:
-            raise ConfigError("compressor", f"randk k={spec.k} exceeds dimension d={d}")
-        return spec.k / d
-    if isinstance(spec, ScaledSign):
-        return 1.0 / d
-    if isinstance(spec, RandomGossip):
-        return spec.p
-    raise ConfigError("compressor", f"unknown compressor {spec!r}")
+    if not isinstance(spec, CompressorSpec):
+        raise ConfigError("compressor", f"unknown compressor {spec!r}")
+    return spec.delta(d)
 
 
-def _index_bits(d: int) -> int:
-    return math.ceil(math.log2(d)) if d > 1 else 0
-
-
-def _apply(spec: CompressorSpec, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Compress once; returns (dense payload, modeled bit cost)."""
-    d = x.shape[0]
-    if isinstance(spec, Identity):
-        return x.copy(), 64 * d
-    if isinstance(spec, RandK):
-        if spec.k > d:
-            raise ConfigError("compressor", f"randk k={spec.k} exceeds dimension d={d}")
-        out = np.zeros(d)
-        if spec.k == d:
-            out[:] = x
-        else:
-            # The k smallest of d i.i.d. uniforms index a uniform k-subset.
-            keep = np.argpartition(rng.random(d), spec.k)[: spec.k]
-            out[keep] = x[keep]
-        return out, spec.k * (64 + _index_bits(d))
-    if isinstance(spec, ScaledSign):
-        scale = float(np.abs(x).sum()) / d
-        return np.where(x >= 0.0, scale, -scale), d + 64
-    if isinstance(spec, RandomGossip):
-        if rng.random() < spec.p:
-            return x.copy(), 64 * d
-        return np.zeros(d), 1
-    raise ConfigError("compressor", f"unknown compressor {spec!r}")
-
-
-def compress(spec: CompressorSpec, x, rng: np.random.Generator) -> CompressedMessage:
-    """Apply the compressor once to a finite vector x."""
-    v = np.asarray(x, dtype=np.float64)
-    payload, bits = _apply(spec, v, rng)
-    return CompressedMessage(payload, bits)
-
-
-_CHUNK = 256  # compressor calls whose randomness a sender bank draws at once
+_CHUNK = 256  # compressor calls whose randomness an engine's sender bank draws at once
 
 
 class _SenderBank:
@@ -144,34 +160,33 @@ class _SenderBank:
     ``rngs`` listed replication by replication (default: one row per stream).
     ``send(X, rounds)`` compresses the row of X, shape ``shape + (d,)``, of each
     sender with that sender's stream.  Compressor randomness never depends on
-    the data, so the bank draws it for ``_CHUNK`` calls at a time with one block
+    the data, so the bank draws it for ``chunk`` calls at a time with one block
     draw per stream: ``random((C, d))`` for randk and ``random(C)`` for gossip
-    return the same numbers as C per-call draws.  Payloads and bits therefore
-    equal those of :func:`_apply` (one round) and of :func:`fcc` (L rounds) on
-    each row with its stream, call after call.
+    return the same numbers as C per-call draws.  Engines draw ``_CHUNK`` calls
+    at a time, and :func:`fcc` (L rounds; :func:`compress` is one) runs a bank
+    of one sender whose chunk is its L calls, so payloads and bits equal those
+    of :func:`compress` and :func:`fcc` on each row with its stream, call after
+    call.
     """
 
-    def __init__(self, spec: CompressorSpec, d: int, rngs: list[np.random.Generator], shape: tuple | None = None):
+    def __init__(
+        self, spec: CompressorSpec, d: int, rngs: list[np.random.Generator], shape: tuple | None = None, chunk: int = _CHUNK
+    ):
         nominal_delta(spec, d)  # validates spec vs dimension
-        self.spec, self.d, self.rngs = spec, d, rngs
+        self.spec, self.d, self.rngs, self._chunk = spec, d, rngs, chunk
         self._shape = (len(rngs),) if shape is None else shape
         self._gossip, self._sign = isinstance(spec, RandomGossip), isinstance(spec, ScaledSign)
-        if isinstance(spec, RandK):
-            self._msg_bits = spec.k * (64 + _index_bits(d))
-        elif self._sign:
-            self._msg_bits = d + 64
-        else:  # identity, or a delivered gossip message
-            self._msg_bits = 64 * d
+        self._msg_bits = spec.message_bits(d)  # gossip: a delivered message's
         self._call_bits = self._shape[-1] * self._msg_bits  # one round of one replication's senders
         self._draws = self._gossip or (isinstance(spec, RandK) and spec.k < d)
         self._keep: np.ndarray | None = None  # drawn on first use, never at construction
         self._uniforms: np.ndarray | None = None  # randk: the chunk's uniforms, (stream, call, coordinate)
         self._saved = None  # gossip: bits the failed messages of each call save, per replication
-        self._used = _CHUNK  # calls served from the current chunk
+        self._used = chunk  # calls served from the current chunk
 
     def _next_call(self) -> int:
         """Index of the next call's draws in the current chunk, drawing a chunk when one is used up."""
-        if self._used == _CHUNK:
+        if self._used == self._chunk:
             self._draw_chunk()
             self._used = 0
         self._used += 1
@@ -179,9 +194,9 @@ class _SenderBank:
 
     def _draw_chunk(self) -> None:
         """Per-call keep-masks for the next chunk, indexed (call, *shape, coordinate)."""
-        spec, lead = self.spec, (_CHUNK,) + self._shape
+        spec, lead = self.spec, (self._chunk,) + self._shape
         if self._gossip:
-            U = np.stack([rng.random(_CHUNK) for rng in self.rngs], axis=1)
+            U = np.stack([rng.random(self._chunk) for rng in self.rngs], axis=1)
             keep = (U < spec.p).reshape(lead)
             # A failed message costs one flag bit, not a full one.
             saved = (self._shape[-1] - np.count_nonzero(keep, axis=-1)) * (self._msg_bits - 1)
@@ -192,7 +207,7 @@ class _SenderBank:
         # uniforms go to one buffer, stream by stream: a fresh stack per chunk
         # made glibc hand its heap pages back and fault them in again.
         if self._uniforms is None:
-            self._uniforms = np.empty((len(self.rngs), _CHUNK, self.d))
+            self._uniforms = np.empty((len(self.rngs), self._chunk, self.d))
         for rng, block in zip(self.rngs, self._uniforms):
             rng.random(out=block)
         keep = np.argpartition(self._uniforms, spec.k, axis=-1)[..., : spec.k]
@@ -225,6 +240,11 @@ class _SenderBank:
             Y = X - R
 
 
+def compress(spec: CompressorSpec, x, rng: np.random.Generator) -> CompressedMessage:
+    """Apply the compressor once to a finite vector x."""
+    return fcc(x, spec, 1, rng)[1][0]
+
+
 def fcc(
     x,
     spec: CompressorSpec,
@@ -235,17 +255,20 @@ def fcc(
 
     Starting from r = 0, each round sends C(x - r) and accumulates it into r.
     Returns the final residual sum (the receiver's reconstruction) and the L
-    messages.  L = 1 is a single standard compression.
+    messages.  L = 1 is a single standard compression.  The rounds are L
+    calls of a one-sender bank that draws the randomness of all L, and no
+    more, at once: an (L, d) block, as large as the messages returned.
     """
     if L < 1:
         raise ConfigError("L", f"must be >= 1, got {L}")
     v = np.asarray(x, dtype=np.float64)
+    bank = _SenderBank(spec, v.shape[0], [rng], chunk=L)
     r = np.zeros(v.shape[0])
     messages = []
     for _ in range(L):
-        msg = compress(spec, v - r, rng)
-        r = r + msg.payload
-        messages.append(msg)
+        payload, bits = bank.send((v - r)[None])
+        r = r + payload[0]
+        messages.append(CompressedMessage(payload[0], bits))
     return r, messages
 
 
@@ -299,15 +322,7 @@ def parse_compressor(text: str) -> CompressorSpec:
 
 def compressor_label(spec: CompressorSpec) -> str:
     """Inverse of :func:`parse_compressor`."""
-    if isinstance(spec, Identity):
-        return "identity"
-    if isinstance(spec, RandK):
-        return f"randk:{spec.k}"
-    if isinstance(spec, ScaledSign):
-        return "sign"
-    if isinstance(spec, RandomGossip):
-        return f"gossip:{spec.p!r}"
-    raise ConfigError("compressor", f"unknown compressor {spec!r}")
+    return spec.label()
 
 
 def derive_seed(seed: int, *ids: int) -> int:
@@ -323,8 +338,8 @@ def entity_stream(seed: int, *ids: int) -> np.random.Generator:
     identical payloads and traces, and distinct entities never share a stream.
     Engines draw each stream's compressor randomness in fixed chunks of calls
     ahead of use, which yields the same numbers as drawing per call; the
-    public :func:`compress` and :func:`fcc` draw per call from the stream they
-    are given.
+    public :func:`compress` and :func:`fcc` draw the calls they make from the
+    stream they are given, through the same sender bank.
     """
     ss = np.random.SeedSequence((int(seed),) + tuple(int(i) for i in ids))
     return np.random.default_rng(ss)

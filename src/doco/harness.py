@@ -20,6 +20,7 @@ driver with K = T/L updates.  All are overridable.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Union
@@ -64,7 +65,36 @@ __all__ = [
 _ENV, _REP, _ORACLE = 3, 4, 5
 
 ALGOS = ("dftcl", "dftfcl", "o2b")
-ENVS = ("linear", "sc_quadratic", "convex_lower", "sc_lower", "lad")
+
+
+@dataclass(frozen=True)
+class _EnvKind:
+    """How :func:`_resolve` builds one environment from a config.
+
+    ``factory`` names an ``envs.make_*`` builder.  It is looked up on the
+    module at each call, so a builder wrapped there (the benchmark's tracer
+    wraps some) is the one called.  ``args`` names its positional arguments
+    among the values ``_resolve`` works out.  A config value an environment
+    is not given is rejected (mu, env_p) or derived by it (G).
+    """
+
+    factory: str
+    args: tuple[str, ...]
+    curved: bool  # mu is the environment's curvature, so required (lad's mu is an optional regularizer)
+    default_set: Callable[[int, float], FeasibleSet] | None  # (d, D) -> the set if none is given; None: own box
+
+
+# The lad problem checks itself that its set is a box.
+_ENVS = {
+    "linear": _EnvKind("make_linear_adversary", ("n", "d", "T", "G", "seed"), False, lambda d, D: Ball(D / 2.0, d)),
+    "sc_quadratic": _EnvKind("make_sc_quadratic_adversary", ("n", "d", "T", "mu", "G", "D", "seed"), True, None),
+    "convex_lower": _EnvKind("make_convex_lower_bound_env", ("n", "d", "T", "G", "D", "delta", "seed"), False, None),
+    "sc_lower": _EnvKind("make_sc_lower_bound_env", ("n", "d", "T", "mu", "D", "delta", "env_p", "seed"), True, None),
+    "lad": _EnvKind(
+        "make_lad_problem", ("n", "d", "samples", "feasible", "seed", "mu"), False, lambda d, D: Box(np.zeros(d), np.ones(d))
+    ),
+}
+ENVS = tuple(_ENVS)
 
 
 def parse_set(text: str, d: int) -> FeasibleSet:
@@ -163,7 +193,8 @@ def _resolve(cfg: RunConfig) -> _Plan:
         raise ConfigError("seed", f"must be >= 0, got {cfg.seed}")
     _require_positive_int("reps", cfg.reps)
     _require_positive_int("workers", cfg.workers)
-    if cfg.env != "sc_lower" and cfg.env_p != RunConfig.env_p:
+    kind = _ENVS[cfg.env]
+    if cfg.env_p != RunConfig.env_p and "env_p" not in kind.args:
         raise ConfigError("env_p", f"only the sc_lower environment takes a Bernoulli parameter, got {cfg.env_p}")
     spec = parse_compressor(cfg.compressor) if isinstance(cfg.compressor, str) else cfg.compressor
     delta = nominal_delta(spec, d)
@@ -193,84 +224,47 @@ def _resolve(cfg: RunConfig) -> _Plan:
         if cfg.algo == "o2b" and K < 1:
             raise ConfigError("T", f"must cover at least one update: T >= L = {L}")
 
-    env_seed = derive_seed(cfg.seed, _ENV)
-
-    if cfg.env == "linear":
-        if cfg.mu is not None:
-            raise ConfigError("mu", "linear losses have no curvature; use eta")
-        G = cfg.G if cfg.G is not None else 1.0
-        feasible = user_set if user_set is not None else Ball((cfg.D or 2.0) / 2.0, d)
-        D = feasible.diameter()
-        if cfg.D is not None and user_set is not None and abs(D - cfg.D) > 1e-9:
-            raise ConfigError("D", f"inconsistent with the set diameter {D}")
-        env = envs.make_linear_adversary(n, d, T, G, env_seed)
-        eta, mu_step = _step_params(cfg, delta, D, G, T, L, K, curvature=None)
-    elif cfg.env == "sc_quadratic":
-        if cfg.mu is None:
-            raise ConfigError("mu", "required: curvature of the quadratic environment")
+    if kind.curved and cfg.mu is None:
+        raise ConfigError("mu", f"required: curvature of the {cfg.env} environment")
+    if "mu" not in kind.args and cfg.mu is not None:
+        raise ConfigError("mu", f"{cfg.env} losses have no curvature; use eta")
+    if "G" not in kind.args and cfg.G is not None:
+        raise ConfigError("G", f"derived by the {cfg.env} environment")
+    if kind.default_set is None:
         if user_set is not None:
-            raise ConfigError("set", "this environment builds its own box from D")
-        G = cfg.G if cfg.G is not None else 1.0
-        D = cfg.D if cfg.D is not None else 2.0
-        env = envs.make_sc_quadratic_adversary(n, d, T, cfg.mu, G, D, env_seed)
-        feasible = env.feasible
-        eta, mu_step = _step_params(cfg, delta, D, G, T, L, K, curvature=cfg.mu)
-    elif cfg.env == "convex_lower":
-        if cfg.mu is not None:
-            raise ConfigError("mu", "linear losses have no curvature; use eta")
-        if user_set is not None:
-            raise ConfigError("set", "this environment forces its own box from D")
-        G = cfg.G if cfg.G is not None else 1.0
-        D = cfg.D if cfg.D is not None else 2.0
-        env = envs.make_convex_lower_bound_env(n, d, T, G, D, delta, env_seed)
-        feasible = env.feasible
-        eta, mu_step = _step_params(cfg, delta, D, G, T, L, K, curvature=None)
-    elif cfg.env == "sc_lower":
-        if cfg.mu is None:
-            raise ConfigError("mu", "required: curvature of the environment")
-        if user_set is not None:
-            raise ConfigError("set", "this environment forces its own box from D")
-        if cfg.G is not None:
-            raise ConfigError("G", "derived as mu*D for this environment")
-        D = cfg.D if cfg.D is not None else 2.0
-        env = envs.make_sc_lower_bound_env(n, d, T, cfg.mu, D, delta, cfg.env_p, env_seed)
-        feasible = env.feasible
-        G = env.G
-        eta, mu_step = _step_params(cfg, delta, D, G, T, L, K, curvature=cfg.mu)
-    else:  # lad
-        if cfg.G is not None:
-            raise ConfigError("G", "derived from the data geometry for this environment")
-        feasible = user_set if user_set is not None else Box(np.zeros(d), np.ones(d))
-        if not isinstance(feasible, Box):
-            raise ConfigError("set", "the lad environment needs a box")
+            raise ConfigError("set", f"the {cfg.env} environment builds its own box from D")
+        feasible, D = None, cfg.D or 2.0
+    else:
+        feasible = user_set if user_set is not None else kind.default_set(d, cfg.D or 2.0)
         D = feasible.diameter()
         if cfg.D is not None and abs(D - cfg.D) > 1e-9:
             raise ConfigError("D", f"inconsistent with the set diameter {D}")
-        samples = _require_positive_int("samples", cfg.samples)
-        env = envs.make_lad_problem(n, d, samples, feasible, env_seed, mu=cfg.mu or 0.0)
+    G = cfg.G or 1.0
+    values = dict(
+        n=n, d=d, T=T, mu=cfg.mu or 0.0, G=G, D=D, delta=delta, env_p=cfg.env_p, feasible=feasible,
+        samples=_require_positive_int("samples", cfg.samples), seed=derive_seed(cfg.seed, _ENV),
+    )  # fmt: skip
+    env = getattr(envs, kind.factory)(*(values[name] for name in kind.args))
+    if feasible is None:
+        feasible = env.feasible
+    if "G" not in kind.args:
         G = env.G
-        if cfg.weights == "uniform":
-            if cfg.eta is not None:
-                eta, mu_step = cfg.eta, None
-            else:
-                eta, mu_step = D / (G * math.sqrt(K)), None
-        else:
-            if cfg.mu is None:
-                raise ConfigError("mu", "linear weights need a strongly convex problem (mu > 0)")
-            if cfg.eta is not None:
-                raise ConfigError("eta", "linear weights take the strongly convex step; eta does not apply")
-            eta, mu_step = None, cfg.mu
+    eta, mu_step = _step_params(cfg, delta, D, G, T, L, K, curvature=cfg.mu if kind.curved else None)
     return _Plan(cfg, spec, delta, feasible, G, D, eta, mu_step, L, K, env)
 
 
 def _step_params(cfg, delta, D, G, T, L, K, curvature):
     """Pick (eta, mu_step): eta selects the convex-mode update, mu the strongly convex one."""
+    if cfg.weights == "linear":  # o2b on lad: the weighting scheme sets the step rule
+        if cfg.mu is None:
+            raise ConfigError("mu", "linear weights need a strongly convex problem (mu > 0)")
+        if cfg.eta is not None:
+            raise ConfigError("eta", "linear weights take the strongly convex step; eta does not apply")
+        return None, cfg.mu
     if cfg.eta is not None:
         return cfg.eta, None
     if curvature is not None:
         return None, curvature
-    if cfg.mu is not None:  # caught earlier for curvature-free envs; defensive
-        raise ConfigError("mu", "this environment has no curvature")
     if cfg.algo == "dftcl":
         scale = math.sqrt(delta) if cfg.unidirectional else delta
         return scale * D / (G * math.sqrt(T)), None

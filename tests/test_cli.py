@@ -190,12 +190,13 @@ def test_sweep_delta_grid_runs_randk_family(tmp_path):
 
 
 def test_sweep_rejects_unrepresentable_delta(tmp_path, capsys):
-    rc = main(
-        ["sweep", "--T", "64", "--d", "8", "--compressor", "randk:2",
-         "--delta-grid", "0.3", "--out", str(tmp_path / "x.csv")]
-    )
-    assert rc == 2
-    assert "delta_grid" in capsys.readouterr().err
+    for delta in ("0.3", "0.01", "1.5", "nan", "inf"):
+        rc = main(
+            ["sweep", "--T", "64", "--d", "8", "--compressor", "randk:2",
+             "--delta-grid", delta, "--out", str(tmp_path / "x.csv")]
+        )
+        assert rc == 2
+        assert "delta_grid" in capsys.readouterr().err
 
 
 def test_sweep_exponent_fits_present_with_three_point_grid(tmp_path):
@@ -215,7 +216,12 @@ SWEEP_BASE = ["sweep", "--n", "2", "--d", "3", "--compressor", "identity", "--se
 
 @pytest.mark.parametrize(
     "grid,field",
-    [(["--T-grid", "256,256,512"], "T_grid"), (["--T", "64", "--delta-grid", "1.0,0.5,1.0"], "delta_grid")],
+    [
+        (["--T-grid", "256,256,512"], "T_grid"),
+        (["--T", "64", "--delta-grid", "1.0,0.5,1.0"], "delta_grid"),
+        # Both near-equal deltas resolve to randk:2 at d = 4.
+        (["--env", "convex_lower", "--T", "64", "--delta-grid", "0.5,0.5000000001,1.0"], "delta_grid"),
+    ],
 )
 def test_sweep_rejects_repeated_grid_values(grid, field, tmp_path, capsys):
     out = tmp_path / "x.csv"

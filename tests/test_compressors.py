@@ -12,7 +12,6 @@ from doco.compressors import (
     ScaledSign,
     _CHUNK,
     _SenderBank,
-    _apply,
     compress,
     compressor_label,
     contraction_stat,
@@ -27,6 +26,33 @@ from doco.domains import ConfigError
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _apply(spec, x, rng):
+    """Reference compressor, one call at a time: (dense payload, modeled bits).
+
+    An independent oracle for the sender bank, which serves both the engines
+    and the public ``compress`` and ``fcc``."""
+    d = x.shape[0]
+    if isinstance(spec, Identity):
+        return x.copy(), 64 * d
+    if isinstance(spec, RandK):
+        out = np.zeros(d)
+        if spec.k == d:
+            out[:] = x
+        else:
+            # The k smallest of d i.i.d. uniforms index a uniform k-subset.
+            keep = np.argpartition(rng.random(d), spec.k)[: spec.k]
+            out[keep] = x[keep]
+        return out, spec.k * (64 + (math.ceil(math.log2(d)) if d > 1 else 0))
+    if isinstance(spec, ScaledSign):
+        scale = float(np.abs(x).sum()) / d
+        return np.where(x >= 0.0, scale, -scale), d + 64
+    if isinstance(spec, RandomGossip):
+        if rng.random() < spec.p:
+            return x.copy(), 64 * d
+        return np.zeros(d), 1
+    raise AssertionError(f"no reference for {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +76,15 @@ def test_spec_validation():
         RandomGossip(1.5)
     with pytest.raises(ConfigError, match="exceeds dimension"):
         nominal_delta(RandK(5), 4)
+    for k in (2.5, True, "3"):
+        with pytest.raises(ConfigError, match="^compressor: randk requires an integer k"):
+            RandK(k)
+
+
+@pytest.mark.parametrize("spec", [42, object(), None, "randk:2"])
+def test_nominal_delta_rejects_what_is_not_a_spec(spec):
+    with pytest.raises(ConfigError, match="^compressor: unknown compressor"):
+        nominal_delta(spec, 4)
 
 
 def test_parse_and_label_round_trip():
@@ -289,3 +324,37 @@ def test_bank_fcc_matches_public_fcc(spec):
             np.testing.assert_array_equal(R[i], r)
             bits -= sum(m.bits for m in msgs)
         assert bits == 0
+
+
+@st.composite
+def _spec_and_dim(draw):
+    d = draw(st.integers(1, 33))
+    kind = draw(st.sampled_from(["identity", "randk", "sign", "gossip"]))
+    if kind == "randk":
+        return RandK(draw(st.integers(1, d))), d  # k = d included: no draw
+    if kind == "gossip":
+        return RandomGossip(draw(st.floats(0.0, 1.0, exclude_min=True))), d
+    return (Identity() if kind == "identity" else ScaledSign()), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_spec_and_dim(), seed=st.integers(0, 2**32 - 1), calls=st.integers(1, 12), L=st.integers(1, 4))
+def test_public_compress_and_fcc_match_the_reference(case, seed, calls, L):
+    spec, d = case
+    xs = np.random.default_rng(seed).standard_normal((calls, d))
+    public, oracle = entity_stream(seed, 7), entity_stream(seed, 7)
+    for x in xs:
+        msg = compress(spec, x, public)
+        payload, bits = _apply(spec, x, oracle)
+        np.testing.assert_array_equal(msg.payload, payload)
+        assert msg.bits == bits
+        r, msgs = fcc(x, spec, L, public)
+        ref = np.zeros(d)
+        for m in msgs:
+            payload, bits = _apply(spec, x - ref, oracle)
+            np.testing.assert_array_equal(m.payload, payload)
+            assert m.bits == bits
+            ref = ref + payload
+        np.testing.assert_array_equal(r, ref)
+    # Both streams gave the same number of draws, so their next draws agree.
+    assert public.random() == oracle.random()

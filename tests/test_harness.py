@@ -52,6 +52,8 @@ def test_missing_horizon_names_the_field():
         (dict(T=100, feasible="ball:1", d=4, D=3.0), "D"),
         (dict(T=100, feasible="cube:1"), "set"),
         (dict(T=100, env="convex_lower", feasible="ball:1"), "set"),
+        (dict(T=100, compressor=42), "compressor"),
+        (dict(T=100, compressor=object()), "compressor"),
     ],
 )
 def test_config_errors_name_offending_field(bad, field):
