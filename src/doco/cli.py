@@ -10,7 +10,10 @@ fit     log-log slope + R^2 for explicit value lists or CSV columns
 All randomness flows from --seed; identical configuration and seed give
 byte-identical output files.  Exit codes: 0 success, 1 verification failure,
 2 configuration error.  Flags mirror the config-file keys one to one, and a
-flag given on the command line overrides the file.
+flag given on the command line overrides the file.  Each run key is a
+:class:`RunConfig` field, which declares its type and help text; a flag's
+value is parsed as the file's is, so a bad value is a configuration error
+naming its key from either.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+import types
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,38 +40,38 @@ from .harness import (
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_verify", "cmd_fit", "parse_config_file", "config_to_text"]
 
-# Config-file keys; every RunConfig flag round-trips through this representation.
-_RUN_KEYS = {
-    "algo": str,
-    "env": str,
-    "T": int,
-    "n": int,
-    "d": int,
-    "compressor": str,
-    "L": int,
-    "eta": float,
-    "mu": float,
-    "G": float,
-    "D": float,
-    "set": str,
-    "weights": str,
-    "unidirectional": bool,
-    "env_p": float,
-    "samples": int,
-    "seed": int,
-    "reps": int,
-    "workers": int,
-}
-_EXTRA_KEYS = {
-    "out": str,
-    "T_grid": "int_list",
-    "delta_grid": "float_list",
-}
-_KNOWN_KEYS = {**_RUN_KEYS, **_EXTRA_KEYS}
+
+@dataclass
+class _CommandKeys:
+    """The config keys of ``run`` (``out``) and ``sweep`` (all three) beyond RunConfig's."""
+
+    out: str | None = field(default=None, metadata={"help": "output CSV path"})
+    T_grid: list[int] | None = field(default=None, metadata={"help": "comma list of horizons"})
+    delta_grid: list[float] | None = field(default=None, metadata={"help": "comma list of contraction factors"})
+
+
+def _keys(cls) -> dict:
+    """Config key -> (field name, type, help) of each field of ``cls``.  The key
+    is the field's name (``set`` for RunConfig's ``feasible``), and its type the
+    first member of the field's annotation (``int | None`` is int)."""
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        if typing.get_origin(kind) in (typing.Union, types.UnionType):
+            kind = typing.get_args(kind)[0]
+        keys["set" if f.name == "feasible" else f.name] = (f.name, kind, f.metadata["help"])
+    return keys
+
+
+# Every key round-trips through the config-file representation.
+_RUN_KEYS = _keys(RunConfig)
+_KNOWN_KEYS = {**_RUN_KEYS, **_keys(_CommandKeys)}
 
 
 def _convert(key: str, raw: str):
-    kind = _KNOWN_KEYS[key]
+    """Parse a flag's or a config file's text for ``key``; lists are comma-separated."""
+    kind = _KNOWN_KEYS[key][1]
     try:
         if kind is bool:
             if raw.lower() in ("1", "true", "yes"):
@@ -74,15 +79,9 @@ def _convert(key: str, raw: str):
             if raw.lower() in ("0", "false", "no"):
                 return False
             raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "int_list":
-            return [int(v) for v in raw.split(",") if v.strip()]
-        if kind == "float_list":
-            return [float(v) for v in raw.split(",") if v.strip()]
-        return raw
+        if typing.get_origin(kind) is list:
+            return [typing.get_args(kind)[0](v) for v in raw.split(",")]
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(key, f"cannot parse value {raw!r}") from exc
 
@@ -123,54 +122,34 @@ def config_to_text(values: dict) -> str:
 
 
 def _config_from_values(values: dict) -> RunConfig:
-    kwargs = {}
-    for key in _RUN_KEYS:
-        if key in values and values[key] is not None:
-            kwargs["feasible" if key == "set" else key] = values[key]
-    return RunConfig(**kwargs)
+    return RunConfig(**{_RUN_KEYS[key][0]: v for key, v in values.items() if key in _RUN_KEYS})
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file; flags override its keys")
-    p.add_argument("--algo", choices=["dftcl", "dftfcl", "o2b"], help="algorithm id")
-    p.add_argument("--env", choices=["linear", "sc_quadratic", "convex_lower", "sc_lower", "lad"])
-    p.add_argument("--T", type=int, help="rounds (o2b: total communication rounds)")
-    p.add_argument("--n", type=int, help="learner count")
-    p.add_argument("--d", type=int, help="ambient dimension")
-    p.add_argument("--compressor", help="identity | randk:k | sign | gossip:p")
-    p.add_argument("--L", type=int, help="block size / compression rounds (default ceil(1/delta))")
-    p.add_argument("--eta", type=float, help="learning rate (convex-mode step)")
-    p.add_argument("--mu", type=float, help="strong-convexity parameter")
-    p.add_argument("--G", type=float, help="gradient-norm bound")
-    p.add_argument("--D", type=float, help="domain diameter (when no --set is given)")
-    p.add_argument("--set", dest="set", help="box:lo:hi | ball:r")
-    p.add_argument("--weights", choices=["uniform", "linear"], help="o2b weighting scheme")
-    p.add_argument("--unidirectional", action="store_true", default=None, help="server sends uncompressed")
-    p.add_argument("--env-p", dest="env_p", type=float, help="Bernoulli parameter of the sc_lower shift (sc_lower only)")
-    p.add_argument("--samples", type=int, help="data points per learner (lad)")
-    p.add_argument("--seed", type=int, help="global seed; all randomness derives from it")
-    p.add_argument("--reps", type=int, help="Monte Carlo replications")
-    p.add_argument("--workers", type=int, help="parallel workers for replications")
+def _add_flags(p: argparse.ArgumentParser, keys) -> None:
+    """One flag per config key, ``--`` + the key with ``-`` for ``_``; a bool key's
+    flag takes no value.  Values stay text until :func:`_gather` parses them."""
+    for key in keys:
+        kind, help = _KNOWN_KEYS[key][1:]
+        if kind is bool:
+            p.add_argument("--" + key.replace("_", "-"), action="store_const", const="true", help=help)
+        else:
+            p.add_argument("--" + key.replace("_", "-"), help=help)
 
 
-def _gather(args: argparse.Namespace, extra: tuple = ()) -> dict:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for key in list(_RUN_KEYS) + list(extra):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+def _gather(args: argparse.Namespace) -> dict:
+    """The config file's values, overridden by the flags given."""
+    values = parse_config_file(args.config) if args.config else {}
+    for key, raw in vars(args).items():
+        if key in _KNOWN_KEYS and raw is not None:
+            values[key] = _convert(key, raw)
     return values
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    values = _gather(args, extra=("out",))
+    values = _gather(args)
     out = values.pop("out", None)
     if out is None:
         raise ConfigError("out", "required: path for the CSV trace")
-    values.pop("T_grid", None)
-    values.pop("delta_grid", None)
     config = _config_from_values(values)
     # Replications (even a single one) run at hash-derived seeds, so run and
     # sweep rows agree point for point under the same configuration.
@@ -180,8 +159,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fit(xs: list, finals: list) -> tuple[float, float]:
+    """:func:`fit_rate` of one grid line's final regrets; (nan, nan) below three
+    points or when a final regret is not positive."""
+    return fit_rate(xs, finals) if len(xs) >= 3 and min(finals) > 0 else (math.nan, math.nan)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    values = _gather(args, extra=("out", "T_grid", "delta_grid"))
+    values = _gather(args)
     out = values.pop("out", None)
     if out is None:
         raise ConfigError("out", "required: path for the sweep CSV")
@@ -190,9 +175,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("T_grid", "required: list of horizons (or a single T)")
     base = _config_from_values(values)
     base_spec = parse_compressor(base.compressor) if isinstance(base.compressor, str) else base.compressor
-    delta_grid = values.pop("delta_grid", None)
+    delta_grid = values.get("delta_grid")
     if delta_grid:
-        specs = [(float(dl), base_spec.at_delta(float(dl), base.d)) for dl in delta_grid]
+        specs = [(dl, base_spec.at_delta(dl, base.d)) for dl in delta_grid]
     else:
         specs = [(nominal_delta(base_spec, base.d), base_spec)]
 
@@ -202,37 +187,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         repeated = sorted({v for v in grid if grid.count(v) > 1})
         if repeated:
             raise ConfigError(name, f"repeated grid values {repeated}")
-    points = [(delta, spec, int(T)) for delta, spec in specs for T in T_grid]
+    points = [(delta, spec, T) for delta, spec in specs for T in T_grid]
     means = _monte_carlo_many([replace(base, compressor=spec, T=T) for _, spec, T in points], base.reps, base.workers)
     results = {(delta, T): (mean.final_regret, mean.final_regret_stderr) for (delta, _, T), mean in zip(points, means)}
 
-    t_fit: dict = {}
-    for delta, _ in specs:
-        finals = [results[(delta, int(T))][0] for T in T_grid]
-        t_fit[delta] = fit_rate(T_grid, finals) if len(T_grid) >= 3 and min(finals) > 0 else (math.nan, math.nan)
-    d_fit: dict = {}
     deltas = [dl for dl, _ in specs]
-    for T in T_grid:
-        finals = [results[(dl, int(T))][0] for dl in deltas]
-        d_fit[int(T)] = fit_rate(deltas, finals) if len(deltas) >= 3 and min(finals) > 0 else (math.nan, math.nan)
+    t_fit = {dl: _fit(T_grid, [results[(dl, T)][0] for T in T_grid]) for dl in deltas}
+    d_fit = {T: _fit(deltas, [results[(dl, T)][0] for dl in deltas]) for T in T_grid}
 
     with open(out, "w", newline="") as fh:
         fh.write("delta,T,final_regret_mean,final_regret_stderr,t_exponent,t_r2,delta_exponent,delta_r2\n")
-        for delta, _ in specs:
+        for delta in deltas:
             for T in T_grid:
-                m, se = results[(delta, int(T))]
+                m, se = results[(delta, T)]
                 te, tr2 = t_fit[delta]
-                de, dr2 = d_fit[int(T)]
-                fh.write(
-                    f"{delta!r},{int(T)},{m!r},{se!r},{te!r},{tr2!r},{de!r},{dr2!r}\n"
-                )
+                de, dr2 = d_fit[T]
+                fh.write(f"{delta!r},{T},{m!r},{se!r},{te!r},{tr2!r},{de!r},{dr2!r}\n")
     print(f"wrote {out} ({len(results)} grid points)")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = parse_compressor(args.compressor) if args.compressor else None
-    report = verify_lemma(args.lemma, seed=args.seed if args.seed is not None else 0, spec=spec)
+    report = verify_lemma(args.lemma, seed=args.seed, spec=spec)
     for row in report.rows:
         status = "PASS" if row.ok else "FAIL"
         print(
@@ -270,19 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one experiment and write its CSV trace")
-    _add_run_flags(p_run)
-    p_run.add_argument("--out", help="output CSV path")
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="sweep delta and T grids; write summary CSV")
-    _add_run_flags(p_sweep)
-    p_sweep.add_argument("--out", help="output CSV path")
-    p_sweep.add_argument("--T-grid", dest="T_grid", help="comma list of horizons", type=lambda s: [int(v) for v in s.split(",")])
-    p_sweep.add_argument(
-        "--delta-grid", dest="delta_grid", help="comma list of contraction factors", type=lambda s: [float(v) for v in s.split(",")]
-    )
-    p_sweep.set_defaults(func=cmd_sweep)
+    for name, func, help, extra in (
+        ("run", cmd_run, "run one experiment and write its CSV trace", ["out"]),
+        ("sweep", cmd_sweep, "sweep delta and T grids; write summary CSV", ["out", "T_grid", "delta_grid"]),
+    ):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="config file; flags override its keys")
+        _add_flags(p, list(_RUN_KEYS) + extra)
+        p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="check a measured statistic against its bound")
     p_verify.add_argument("lemma", choices=list(VERIFY_IDS))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -122,6 +122,12 @@ def set_label(feasible: FeasibleSet) -> str:
     raise ConfigError("set", "only uniform boxes have a flag representation")
 
 
+def _flag(default, help: str):
+    """A :class:`RunConfig` field, which is also a ``doco`` flag and config-file
+    key (``feasible`` as ``set``) with this help text."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: algorithm, environment, compressor, and scales.
@@ -133,25 +139,25 @@ class RunConfig:
     well runs the convex-mode update on that environment.
     """
 
-    algo: str = "dftcl"
-    env: str = "linear"
-    T: int | None = None
-    n: int = 2
-    d: int = 4
-    compressor: Union[str, CompressorSpec] = "identity"
-    L: int | None = None
-    eta: float | None = None
-    mu: float | None = None
-    G: float | None = None
-    D: float | None = None
-    feasible: Union[str, FeasibleSet, None] = None
-    weights: str = "uniform"
-    unidirectional: bool = False
-    env_p: float = 0.5
-    samples: int = 32
-    seed: int = 0
-    reps: int = 1
-    workers: int = 1
+    algo: str = _flag("dftcl", f"algorithm id: {' | '.join(ALGOS)}")
+    env: str = _flag("linear", f"environment: {' | '.join(ENVS)}")
+    T: int | None = _flag(None, "rounds (o2b: total communication rounds)")
+    n: int = _flag(2, "learner count")
+    d: int = _flag(4, "ambient dimension")
+    compressor: Union[str, CompressorSpec] = _flag("identity", "identity | randk:k | sign | gossip:p")
+    L: int | None = _flag(None, "block size / compression rounds (default ceil(1/delta))")
+    eta: float | None = _flag(None, "learning rate (convex-mode step)")
+    mu: float | None = _flag(None, "strong-convexity parameter")
+    G: float | None = _flag(None, "gradient-norm bound")
+    D: float | None = _flag(None, "domain diameter (when no --set is given)")
+    feasible: Union[str, FeasibleSet, None] = _flag(None, "box:lo:hi | ball:r")
+    weights: str = _flag("uniform", "o2b weighting scheme: uniform | linear")
+    unidirectional: bool = _flag(False, "server sends uncompressed")
+    env_p: float = _flag(0.5, "Bernoulli parameter of the sc_lower shift (sc_lower only)")
+    samples: int = _flag(32, "data points per learner (lad)")
+    seed: int = _flag(0, "global seed; all randomness derives from it")
+    reps: int = _flag(1, "Monte Carlo replications")
+    workers: int = _flag(1, "parallel workers for replications")
 
 
 @dataclass
@@ -363,17 +369,18 @@ _BATCH = 16  # most replications one engine advances in lockstep; each holds its
 _CHECK_ROUNDS = 256  # o2b updates between finiteness checks; online runs check each environment chunk
 
 
-def _run_batch(config: RunConfig, seeds: tuple, keep_decisions: bool = False) -> list[RegretTrace]:
+def _run_batch(config: RunConfig, seeds: tuple, keep_decisions: bool = False, probe=None) -> list[RegretTrace]:
     """Run one replication of ``config`` per seed, advanced in lockstep by one engine.
 
     Trace r is byte for byte the trace of a run at ``seeds[r]``: replication
     r keeps its own environment and streams.  A batch of one runs the engine
-    without the replication axis.
+    without the replication axis.  ``probe(plans, eng, step, steps)``, if given,
+    returns the step function the driver plays its ``steps`` rounds with.
     """
     plans = [_resolve(replace(config, seed=s)) for s in seeds]
     if config.algo == "o2b":
-        return _run_o2b(plans, keep_decisions)
-    return _run_online(plans, keep_decisions)
+        return _run_o2b(plans, keep_decisions, probe)
+    return _run_online(plans, keep_decisions, probe)
 
 
 class _Lockstep:
@@ -441,7 +448,7 @@ def _kept(rounds: np.ndarray, a: int, b: int) -> tuple[slice, np.ndarray]:
     return sel, rounds[sel] - 1 - a
 
 
-def _run_online(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
+def _run_online(plans: list[_Plan], keep_decisions: bool, probe=None) -> list[RegretTrace]:
     """Play the rounds a chunk of the environments at a time, then take a
     second pass over the re-drawn chunks for the comparator's losses.
 
@@ -455,6 +462,8 @@ def _run_online(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
     members = [p.env for p in plans]
     eng, step = _engine(plans)
     engine_rounds = T if plan.cfg.algo == "dftcl" else (T // plan.L) * plan.L
+    if probe is not None:
+        step = probe(plans, eng, step, engine_rounds)
     rounds = _sample_rounds(T)
     S = len(rounds)
     cum, comp, regret = np.empty((R, S)), np.empty((R, S)), np.empty((R, S))
@@ -519,10 +528,12 @@ def _run_online(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
     ]
 
 
-def _run_o2b(plans: list[_Plan], keep_decisions: bool) -> list[RegretTrace]:
+def _run_o2b(plans: list[_Plan], keep_decisions: bool, probe=None) -> list[RegretTrace]:
     plan, R = plans[0], len(plans)
     K, d = plan.K, plan.env.d
     eng, step = _engine(plans)
+    if probe is not None:
+        step = probe(plans, eng, step, K)
     X = np.empty((K, R, d))
     Wp = np.empty((K, R, d))
     gbar = np.empty((K, R, d))
@@ -763,9 +774,6 @@ class VerifyReport:
         return all(r.ok for r in self.rows)
 
 
-VERIFY_IDS = ("fcc_contraction", "dftcl_errors", "dftfcl_errors", "o2b_errors")
-
-
 def verify_fcc_contraction(
     seed: int = 0, trials: int = 5000, d: int = 64, spec: CompressorSpec | None = None
 ) -> VerifyReport:
@@ -784,26 +792,35 @@ def verify_fcc_contraction(
 
 def _error_energies(config: RunConfig, reps: int):
     """Replication-mean squared norms of the mean learner memory and of the
-    server memory after every round (o2b: update) of ``config``, tail rounds
-    past a blocked run's last full block included, over the replications of
-    ``monte_carlo(config, reps)`` in the same lockstep batches.  Returns one
-    replication's plan with the two energy paths.
+    server memory after every round (o2b: update) the run driver plays, over
+    the replications of ``monte_carlo(config, reps)`` in the same lockstep
+    batches.  The driver does not step a blocked run's tail rounds past its
+    last full block, which change neither memory.  Returns the last batch's
+    first plan with the two energy paths.
     """
     reps = _require_positive_int("seeds", reps)
     paths = []  # per replication: the (2, steps) energies after each step
-    for batch in _batches(config.seed, reps, 1):
-        plans = [_resolve(replace(config, seed=s)) for s in batch]
-        steps = plans[0].K or config.T
-        eng, step = _engine(plans)
-        energies = np.empty((len(batch), 2, steps))
-        for t in range(steps):
-            step(t + 1)
-            for i, m in enumerate((eng.e.mean(axis=-2), eng.e_hat)):
-                energies[:, i, t] = np.matmul(m[..., None, :], m[..., :, None])[..., 0, 0]
+    plan = None
+
+    def probe(plans, eng, step, steps):
+        nonlocal plan
+        plan = plans[0]
+        energies = np.empty((len(plans), 2, steps))
         paths.extend(energies)
+
+        def probed(t):
+            info = step(t)
+            for i, m in enumerate((eng._learner_mean(eng.e), eng.e_hat)):
+                energies[:, i, t - 1] = np.matmul(m[..., None, :], m[..., :, None])[..., 0, 0]
+            return info
+
+        return probed
+
+    for batch in _batches(config.seed, reps, 1):
+        _run_batch(config, batch, probe=probe)
     # Summed replication by replication, so the means do not depend on the split.
     e_sq, ehat_sq = sum(paths) / reps
-    return plans[0], e_sq, ehat_sq
+    return plan, e_sq, ehat_sq
 
 
 def _energy_report(config: RunConfig, reps: int) -> VerifyReport:
@@ -846,15 +863,20 @@ def verify_o2b_errors(seed: int = 0, seeds: int = 20) -> VerifyReport:
     return _energy_report(RunConfig("o2b", "lad", 1024, 4, 8, "randk:2", L=4, seed=seed), seeds)
 
 
+_CHECKS = {
+    "fcc_contraction": verify_fcc_contraction,
+    "dftcl_errors": verify_dftcl_errors,
+    "dftfcl_errors": verify_dftfcl_errors,
+    "o2b_errors": verify_o2b_errors,
+}
+VERIFY_IDS = tuple(_CHECKS)
+
+
 def verify_lemma(lemma_id: str, seed: int = 0, spec: CompressorSpec | None = None) -> VerifyReport:
-    if lemma_id == "fcc_contraction":
-        return verify_fcc_contraction(seed, spec=spec)
-    if lemma_id == "dftcl_errors":
-        return verify_dftcl_errors(seed, spec=spec)
-    if lemma_id == "dftfcl_errors":
-        return verify_dftfcl_errors(seed, spec=spec)
+    if lemma_id not in _CHECKS:
+        raise ConfigError("lemma", f"unknown id {lemma_id!r}; expected one of {VERIFY_IDS}")
+    if spec is None:
+        return _CHECKS[lemma_id](seed)
     if lemma_id == "o2b_errors":
-        if spec is not None:
-            raise ConfigError("compressor", "the o2b_errors check runs randk:2 only; it takes no override")
-        return verify_o2b_errors(seed)
-    raise ConfigError("lemma", f"unknown id {lemma_id!r}; expected one of {VERIFY_IDS}")
+        raise ConfigError("compressor", "the o2b_errors check runs randk:2 only; it takes no override")
+    return _CHECKS[lemma_id](seed, spec=spec)

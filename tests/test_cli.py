@@ -1,11 +1,16 @@
+import argparse
+import dataclasses
+import typing
+
 import numpy as np
 import pytest
 
 import doco.environments as envs
 import doco.harness as harness
-from doco.cli import config_to_text, main, parse_config_file
+from doco.cli import _gather, build_parser, config_to_text, main, parse_config_file
 from doco.compressors import derive_seed
 from doco.domains import ConfigError
+from doco.harness import RunConfig
 
 
 def read(path):
@@ -121,34 +126,77 @@ def test_flags_override_config_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+COMMAND_VALUES = {"out": "trace.csv", "T_grid": [1024, 2048], "delta_grid": [1.0, 0.25]}
+
+
+def run_config_values() -> dict:
+    """A value for every RunConfig field, under its config key, of the first
+    member of the field's annotation, and none of them the default."""
+    samples = {str: "randk:4", int: 7, float: 0.015625, bool: True}
+    hints = typing.get_type_hints(RunConfig)
+    values = {}
+    for f in dataclasses.fields(RunConfig):
+        kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+        values["set" if f.name == "feasible" else f.name] = samples[kind]
+        assert samples[kind] != f.default
+    return values
+
+
 def test_every_flag_round_trips_through_config_text(tmp_path):
-    values = {
-        "algo": "dftfcl",
-        "env": "linear",
-        "T": 256,
-        "n": 4,
-        "d": 16,
-        "compressor": "randk:4",
-        "L": 4,
-        "eta": 0.015625,
-        "G": 1.0,
-        "D": 2.0,
-        "set": "ball:1.0",
-        "weights": "uniform",
-        "unidirectional": False,
-        "env_p": 0.5,
-        "samples": 32,
-        "seed": 11,
-        "reps": 3,
-        "workers": 1,
-        "out": "trace.csv",
-        "T_grid": [1024, 2048],
-        "delta_grid": [1.0, 0.25],
-    }
+    values = {**run_config_values(), **COMMAND_VALUES}
+    assert len(values) == len(dataclasses.fields(RunConfig)) + 3 and "mu" in values
     path = tmp_path / "round.cfg"
     path.write_text(config_to_text(values))
     parsed = parse_config_file(str(path))
     assert parsed == values
+
+
+def test_every_run_config_field_has_a_flag_a_config_key_and_help(tmp_path):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {f.name: f.metadata.get("help") for f in dataclasses.fields(RunConfig)}
+    for command in ("run", "sweep"):
+        parser = subparsers.choices[command]
+        actions = {opt: action for action in parser._actions for opt in action.option_strings}
+        for key, value in run_config_values().items():
+            flag = "--" + key.replace("_", "-")
+            assert actions[flag].help and actions[flag].help == helps["feasible" if key == "set" else key]
+            # The flag and the config-file line give the same value.
+            text = config_to_text({key: value}).partition(" = ")[2].strip()
+            args = parser.parse_args([flag] if isinstance(value, bool) else [flag, text])
+            assert _gather(args) == {key: value}
+            path = tmp_path / "one.cfg"
+            path.write_text(f"{key} = {text}\n")
+            assert parse_config_file(str(path)) == {key: value}
+
+
+@pytest.mark.parametrize(
+    "key,raw",
+    [("eta", "fast"), ("T", "abc"), ("seed", "1.5"), ("env_p", "high"), ("T_grid", "256,,512"), ("delta_grid", "0.5,x")],
+)
+def test_bad_value_is_one_configuration_error_from_flag_and_file(key, raw, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--" + key.replace("_", "-"), raw, "--out", str(out)]) == 2
+    from_flag = capsys.readouterr().err
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {raw}\n")
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == from_flag == f"configuration error - {key}: cannot parse value {raw!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,key",
+    [
+        (["--algo", "sgd"], "algo"),
+        (["--env", "ring"], "env"),
+        (["--algo", "o2b", "--env", "lad", "--weights", "cubic"], "weights"),
+    ],
+)
+def test_unknown_choice_is_a_configuration_error(flags, key, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--T", "32", "--L", "2", "--compressor", "randk:1", "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error - {key}: ")
+    assert not out.exists()
 
 
 def test_config_parse_errors():

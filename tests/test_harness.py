@@ -499,6 +499,24 @@ def test_energy_checks_reject_non_positive_seed_counts(check, seeds):
         check(seeds=seeds)
 
 
+@pytest.mark.parametrize("check", [harness.verify_dftcl_errors, harness.verify_o2b_errors])
+def test_energy_checks_run_the_batches_monte_carlo_runs(check, monkeypatch):
+    calls = []
+    run_batch = harness._run_batch
+
+    def recording(config, seeds, *args, **kwargs):
+        calls.append((config, seeds))
+        return run_batch(config, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_run_batch", recording)
+    check(seeds=17)
+    checked = calls[:]
+    calls.clear()
+    harness.monte_carlo(checked[0][0], reps=17, workers=1)
+    assert len(calls) == 2  # 17 replications make two lockstep batches
+    assert checked == calls
+
+
 def test_verify_rows_carry_plain_floats_and_bools():
     reports = [
         harness.verify_dftcl_errors(seeds=1),
