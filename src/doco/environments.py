@@ -9,7 +9,9 @@ seeded by ``seed``; asking for a chunk behind the stream's position re-seeds
 it and redraws.  The numbers are those one draw of every round would give, so
 an environment is a deterministic function of (seed, round, learner) in any
 access order, and it holds one chunk of rounds instead of all T (the strongly
-convex interval sequence also keeps its one coin per interval).
+convex interval sequence also keeps its one coin per interval).  A chunk's
+gradients are one read-only (rounds, n, d) table and one rule that turns a
+table row and the decision into gradients.
 
 The two "lower bound" environments keep each learner's loss constant on
 intervals of length ceil(1/delta) and redraw it at interval boundaries; with a
@@ -72,7 +74,10 @@ class _Rows:
 
     ``draw(rng, k)`` draws the next k rows.  A request that starts before the
     held rows re-seeds the stream and redraws from row 0, so in any access
-    order the rows are those one draw of the whole table gives.
+    order the rows are those one draw of the whole table gives.  ``draw``
+    does not refer to the environment that holds the rows: that would put the
+    environment, and its chunk tables, in a reference cycle that only the
+    cycle collector frees.
     """
 
     def __init__(self, seed: int, draw):
@@ -135,9 +140,13 @@ class _Online:
     """Base of the online environments: rounds are served a chunk of
     ``_CHUNK`` at a time, and ``_load(a, b)`` sets up rounds a+1..b.
 
-    A run reads a chunk's mean-loss rows, comparator rows and hindsight
-    terms (``_loss_rows``, ``_curve_rows``, ``_hind_terms``); the public
-    methods are the same calls over every chunk.
+    ``_load`` sets ``_table``, the chunk's gradient data as one (n, d) row
+    per round, which ``_hold`` makes read-only.  ``_gradient(rows, w)`` turns
+    rows and decisions into gradients, with any leading axes: a (n, d) row at
+    a (d,) decision, or a lockstep batch's (R, n, d) rows at its (R, d)
+    decisions.  A run reads a chunk's table, mean-loss rows,
+    comparator rows and hindsight terms (``_loss_rows``, ``_curve_rows``,
+    ``_hind_terms``); the public methods are the same calls over every chunk.
     """
 
     _held = -1  # the chunk set up by the last _load
@@ -146,13 +155,14 @@ class _Online:
         if c != self._held:
             a = c * _CHUNK
             self._load(a, min(a + _CHUNK, self.T))
+            self._table.flags.writeable = False
             self._held = c
 
     def grads(self, t: int, w: np.ndarray) -> np.ndarray:
         c, i = divmod(t - 1, _CHUNK)
         if c != self._held:
             self._hold(c)
-        return self._grads(i, w)
+        return self._gradient(self._table[i], w)
 
     def mean_loss_path(self, W: np.ndarray) -> np.ndarray:
         return np.concatenate([self._loss_rows(c, W[a:b]) for c, a, b in _chunks(self.T)])
@@ -173,6 +183,10 @@ class _LinearLosses(_Online):
 
     mu = 0.0
 
+    @staticmethod
+    def _gradient(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return rows
+
     def _loss_rows(self, c: int, W: np.ndarray) -> np.ndarray:
         self._hold(c)
         return np.einsum("td,td->t", self._gbar, W)
@@ -191,7 +205,11 @@ class _LinearLosses(_Online):
 
 class _QuadraticLosses(_Online):
     """Mean loss (mu/2)(||w||^2 - 2<cbar_t, w> + csq_t): a chunk holds the rows
-    ``_cbar`` (mean anchor) and ``_csq`` (mean squared anchor norm)."""
+    ``_cbar`` (mean anchor) and ``_csq`` (mean squared anchor norm); its
+    table rows are the anchors."""
+
+    def _gradient(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return self.mu * (w[..., None, :] - rows)
 
     def _loss_rows(self, c: int, W: np.ndarray) -> np.ndarray:
         self._hold(c)
@@ -230,18 +248,12 @@ class LinearAdversary(_LinearLosses):
         _check_positive(n=n, d=d, T=T, G=G)
         self.n, self.d, self.T, self.G = n, d, T, float(G)
         self.feasible = None
-        self._scale = G / math.sqrt(d)
-        self._rows = _Rows(seed, self._draw)
-
-    def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return _signs(rng, (k, self.n, self.d), self._scale)
+        scale = G / math.sqrt(d)
+        self._rows = _Rows(seed, lambda rng, k: _signs(rng, (k, n, d), scale))
 
     def _load(self, a: int, b: int) -> None:
-        self._g = self._rows.rows(a, b)
-        self._gbar = self._g.mean(axis=1)
-
-    def _grads(self, i: int, w: np.ndarray) -> np.ndarray:
-        return self._g[i]
+        self._table = self._rows.rows(a, b)
+        self._gbar = self._table.mean(axis=1)
 
 
 class QuadraticAdversary(_QuadraticLosses):
@@ -256,22 +268,16 @@ class QuadraticAdversary(_QuadraticLosses):
         _check_positive(n=n, d=d, T=T, mu=mu, G=G, D=D)
         if mu * D > G + 1e-12:
             raise ConfigError("mu", f"mu*D = {mu * D} exceeds the gradient bound G = {G}")
-        self._half = D / (2.0 * math.sqrt(d))
+        half = D / (2.0 * math.sqrt(d))
         self.n, self.d, self.T = n, d, T
         self.mu, self.G, self.D = float(mu), float(G), float(D)
-        self.feasible = Box(-self._half * np.ones(d), self._half * np.ones(d))
-        self._rows = _Rows(seed, self._draw)
-
-    def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return rng.uniform(-self._half, self._half, size=(k, self.n, self.d))
+        self.feasible = Box(-half * np.ones(d), half * np.ones(d))
+        self._rows = _Rows(seed, lambda rng, k: rng.uniform(-half, half, size=(k, n, d)))
 
     def _load(self, a: int, b: int) -> None:
-        self._b = self._rows.rows(a, b)
-        self._cbar = self._b.mean(axis=1)
-        self._csq = (self._b**2).sum(axis=2).mean(axis=1)
-
-    def _grads(self, i: int, w: np.ndarray) -> np.ndarray:
-        return self.mu * (w - self._b[i])
+        self._table = self._rows.rows(a, b)
+        self._cbar = self._table.mean(axis=1)
+        self._csq = (self._table**2).sum(axis=2).mean(axis=1)
 
 
 def interval_boundaries(T: int, delta: float) -> np.ndarray:
@@ -309,24 +315,18 @@ class IntervalLinearEnv(_LinearLosses):
         self.feasible = Box(-half * np.ones(d), half * np.ones(d))
         self._K = math.ceil(1.0 / delta)
         self._Z = (T - 1) // self._K
-        self._scale = G / math.sqrt(d)
-        self._rows = _Rows(seed, self._draw)  # one row z_i per interval
+        scale = G / math.sqrt(d)
+        self._rows = _Rows(seed, lambda rng, k: _signs(rng, (k, d), scale))  # one row z_i per interval
         self._frac = (n - self.m) / n
-
-    def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return _signs(rng, (k, self.d), self._scale)
 
     def _load(self, a: int, b: int) -> None:
         idx = _interval_index(a, b, self._K, self._Z)
         self._lo = int(idx[0])
         self._z = self._rows.rows(self._lo, int(idx[-1]) + 1)
-        self._zr = self._z[idx - self._lo]
-        self._gbar = self._frac * self._zr
-
-    def _grads(self, i: int, w: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n, self.d))
-        out[self.m :] = self._zr[i]
-        return out
+        zr = self._z[idx - self._lo]
+        self._gbar = self._frac * zr
+        self._table = np.zeros((b - a, self.n, self.d))
+        self._table[:, self.m :] = zr[:, None, :]
 
     def _hind_terms(self, c: int) -> tuple:
         # Each interval's term, length * z_i, joins the sum in the chunk where the interval starts.
@@ -384,12 +384,10 @@ class IntervalQuadraticEnv(_QuadraticLosses):
         # anchors[i] has one row per learner: zero rows, then side * z_i rows.
         anchors = np.zeros((hi - lo, self.n, self.d))
         anchors[:, self.m :, :] = (self._side * self._ones[lo:hi])[:, None, None]
-        self._anchors, self._local = anchors, idx - lo
-        self._cbar = anchors.mean(axis=1)[self._local]
-        self._csq = (anchors**2).sum(axis=2).mean(axis=1)[self._local]
-
-    def _grads(self, i: int, w: np.ndarray) -> np.ndarray:
-        return self.mu * (w - self._anchors[self._local[i]])
+        local = idx - lo
+        self._table = anchors[local]
+        self._cbar = anchors.mean(axis=1)[local]
+        self._csq = (anchors**2).sum(axis=2).mean(axis=1)[local]
 
 
 class LadProblem:

@@ -50,8 +50,9 @@ def test_negative_seed_exits_two(command, tmp_path, monkeypatch, capsys):
 
 def test_run_non_finite_decisions_exit_two(tmp_path, monkeypatch, capsys):
     class NanGradients(envs.LinearAdversary):
-        def grads(self, t, w):
-            return super().grads(t, w) * (np.nan if t >= 37 else 1.0)
+        def _load(self, a, b):
+            super()._load(a, b)
+            self._table = np.where((np.arange(a + 1, b + 1) >= 37)[:, None, None], np.nan, self._table)
 
     monkeypatch.setattr(envs, "make_linear_adversary", lambda *args: NanGradients(*args))
     out = tmp_path / "x.csv"
@@ -291,12 +292,25 @@ def test_sweep_resolves_every_grid_point_before_running_any(tmp_path, monkeypatc
     assert not out.exists()
 
 
+def test_sweep_rejects_unknown_weights_before_running_any(tmp_path, monkeypatch, capsys):
+    calls = []
+    run_batch = harness._run_batch
+    monkeypatch.setattr(harness, "_run_batch", lambda *a, **k: calls.append(a) or run_batch(*a, **k))
+    out = tmp_path / "x.csv"
+    args = SWEEP_BASE + ["--algo", "o2b", "--env", "lad", "--weights", "cubic", "--L", "2"]
+    assert main(args + ["--T-grid", "64,128,256", "--workers", "2", "--out", str(out)]) == 2
+    assert "weights: must be 'uniform' or 'linear'" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_sweep_task_errors_exit_two_with_one_message_at_any_worker_count(tmp_path, monkeypatch, capsys):
     # Every grid point fails, from round T/2 on; each worker count reports the
     # first grid point's first replication, as the in-process sweep meets it.
     class NanGradients(envs.LinearAdversary):
-        def grads(self, t, w):
-            return super().grads(t, w) * (np.nan if t >= self.T // 2 else 1.0)
+        def _load(self, a, b):
+            super()._load(a, b)
+            self._table = np.where((np.arange(a + 1, b + 1) >= self.T // 2)[:, None, None], np.nan, self._table)
 
     monkeypatch.setattr(envs, "make_linear_adversary", lambda *args: NanGradients(*args))
     out = tmp_path / "x.csv"

@@ -197,7 +197,7 @@ def test_sc_lower_loss_expansion():
     env = make_sc_lower_bound_env(n, d, 256, mu=1.0, D=2.0, delta=0.25, p=1.0, seed=3)
     w = env.feasible.project(np.array([0.3, 0.9]))
     env._hold(0)  # the chunk of rounds 1..256; round 1 lies in interval 0
-    anchors = env._anchors[env._local[0]]
+    anchors = env._table[0]
     manual = 0.5 * np.mean([((w - a) ** 2).sum() for a in anchors])
     assert env.mean_loss_curve(w)[0] == pytest.approx(manual)
 
@@ -518,6 +518,23 @@ def test_streamed_environment_matches_full_table(kind, n, d, T):
         else:
             assert _same(hind, want)
         assert _same(env.mean_loss_path(W), full.mean_loss_path(W))
+
+
+@pytest.mark.parametrize("kind", ENV_KINDS)
+def test_held_gradient_tables_are_read_only(kind):
+    # The linear environments hand out table rows as views: a caller writing
+    # into one gets an error instead of changing a later round's gradients.
+    env, full = _pair(kind, 3, 4, 300, seed=2)
+    w = np.full(4, 0.1)
+    for t in (1, 300):
+        g = env.grads(t, w)
+        assert not env._table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            env._table[0, 0, 0] = 7.0
+        if kind in ("linear", "convex_lower"):
+            with pytest.raises(ValueError, match="read-only"):
+                g[...] = 7.0
+        assert _same(env.grads(t, w), full.grads(t, w))
 
 
 @pytest.mark.parametrize("kind", ENV_KINDS)

@@ -244,8 +244,10 @@ def _mean_of_runs(cfg, reps):
         RunConfig(algo="dftcl", T=300, n=3, d=5, compressor="gossip:0.3", seed=4),
         RunConfig(algo="dftfcl", env="sc_quadratic", T=301, n=3, d=5, mu=0.5, compressor="randk:2", seed=4),
         RunConfig(algo="o2b", env="lad", T=300, n=3, d=5, samples=8, compressor="gossip:0.5", seed=4),
+        RunConfig(algo="dftcl", env="convex_lower", T=300, n=3, d=5, compressor="gossip:0.3", seed=4),
+        RunConfig(algo="dftfcl", env="sc_lower", T=301, n=3, d=5, mu=0.5, compressor="gossip:0.25", seed=4),
     ],
-    ids=["dftcl", "dftfcl", "o2b"],
+    ids=["dftcl", "dftfcl", "o2b", "dftcl_convex_lower", "dftfcl_sc_lower"],
 )
 @pytest.mark.parametrize("reps,workers", [(5, 2), (17, 1)])
 def test_monte_carlo_bytes_equal_mean_of_single_runs(cfg, reps, workers, tmp_path):
@@ -255,6 +257,34 @@ def test_monte_carlo_bytes_equal_mean_of_single_runs(cfg, reps, workers, tmp_pat
     monte_carlo(cfg, reps=reps, workers=workers).to_csv(mean)
     _mean_of_runs(cfg, reps).to_csv(ref)
     assert mean.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "env_kw",
+    [{}, {"env": "sc_quadratic", "mu": 0.5}, {"env": "convex_lower"}, {"env": "sc_lower", "mu": 0.5}],
+    ids=["linear", "sc_quadratic", "convex_lower", "sc_lower"],
+)
+@pytest.mark.parametrize("seeds", [(7,), (7, 8, 9)])
+def test_driver_gradients_equal_public_grads_in_backward_order(monkeypatch, env_kw, seeds):
+    # The driver reads each chunk's held (for a batch, stacked) tables; the
+    # public grads(t, w) of fresh environments, asked from round T back to
+    # round 1, must give the same gradients at the decisions played.
+    cfg = RunConfig(algo="dftcl", T=300, n=3, d=5, compressor="gossip:0.5", seed=4, **env_kw)
+    seen = []
+    round_ = harness.Dftcl.round
+
+    def spy(self, grads, collect=False):
+        seen.append((self.decision.reshape(-1, cfg.d).copy(), grads.reshape(-1, cfg.n, cfg.d).copy()))
+        return round_(self, grads, collect)
+
+    monkeypatch.setattr(harness.Dftcl, "round", spy)
+    harness._run_batch(cfg, seeds)
+    assert len(seen) == cfg.T
+    for r, seed in enumerate(seeds):
+        env = harness._resolve(replace(cfg, seed=seed)).env
+        for t in range(cfg.T, 0, -1):
+            w, g = seen[t - 1]
+            assert env.grads(t, w[r]).tobytes() == g[r].tobytes()
 
 
 def test_monte_carlo_one_row_trace_bytes_equal_mean_of_single_runs(tmp_path):
@@ -268,11 +298,11 @@ def test_monte_carlo_one_row_trace_bytes_equal_mean_of_single_runs(tmp_path):
 
 
 class _NanFrom37(LinearAdversary):
-    """The linear adversary, but every gradient from round 37 on is NaN."""
+    """The linear adversary, but every gradient table row from round 37 on is NaN."""
 
-    def grads(self, t, w):
-        g = super().grads(t, w)
-        return g * np.nan if t >= 37 else g
+    def _load(self, a, b):
+        super()._load(a, b)
+        self._table = np.where((np.arange(a + 1, b + 1) >= 37)[:, None, None], np.nan, self._table)
 
 
 def _nan_gradients(monkeypatch):
