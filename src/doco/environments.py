@@ -530,7 +530,12 @@ class LadProblem:
             if left <= x <= right:
                 candidates.append(float(x))
         cand = np.clip(np.array(candidates), lo, hi)
-        phi = np.abs(cand[:, None] - vals[None, :]).mean(axis=1) + 0.5 * self.mu * (cand - c) ** 2
+        phi = np.empty(cand.shape[0])
+        for start in range(0, cand.shape[0], 256):  # 256 x N at a time, not candidates x N
+            rows = cand[start : start + 256]
+            phi[start : start + 256] = (
+                np.abs(rows[:, None] - vals[None, :]).mean(axis=1) + 0.5 * self.mu * (rows - c) ** 2
+            )
         return float(cand[int(np.argmin(phi))])
 
 
