@@ -24,13 +24,11 @@ from .compressors import (
 )
 from .domains import (
     Ball,
-    BlackBoxLoss,
     Box,
     ConfigError,
     best_in_hindsight,
     ftrl_linear_step,
     ftrl_strongly_convex_step,
-    minimize_convex,
     project,
 )
 from .environments import (

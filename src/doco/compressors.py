@@ -32,7 +32,6 @@ __all__ = [
     "fcc",
     "contraction_stat",
     "parse_compressor",
-    "compressor_label",
     "entity_stream",
     "derive_seed",
 ]
@@ -318,11 +317,6 @@ def parse_compressor(text: str) -> CompressorSpec:
         "compressor",
         f"unknown compressor {text!r} (expected identity, randk:k, sign, or gossip:p)",
     )
-
-
-def compressor_label(spec: CompressorSpec) -> str:
-    """Inverse of :func:`parse_compressor`."""
-    return spec.label()
 
 
 def derive_seed(seed: int, *ids: int) -> int:

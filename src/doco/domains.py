@@ -1,4 +1,4 @@
-"""Feasible sets, Euclidean projection, and closed-form leader steps.
+"""Feasible sets, Euclidean projection, and closed-form leader steps and hindsight decisions.
 
 Every decision update in this package reduces to one identity: the minimizer
 of ``<u, w> + (1/eta) ||w||^2`` over a convex set W is the Euclidean
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -25,10 +25,9 @@ __all__ = [
     "project",
     "ftrl_linear_step",
     "ftrl_strongly_convex_step",
-    "BlackBoxLoss",
+    "Quadratic",
     "Hindsight",
     "best_in_hindsight",
-    "minimize_convex",
 ]
 
 
@@ -160,75 +159,40 @@ def ftrl_strongly_convex_step(
     return feasible.project((mu * a - s) / (mu * weight_total))
 
 
-@dataclass(frozen=True)
-class BlackBoxLoss:
-    """Convex loss given by value/subgradient oracles; mu > 0 marks strong convexity."""
+class Quadratic(NamedTuple):
+    """A summed loss (curvature/2) ||w - center||^2 + const, curvature > 0.
 
-    value: Callable[[np.ndarray], float]
-    subgrad: Callable[[np.ndarray], np.ndarray]
-    mu: float = 0.0
+    Its minimizer over W is the projection of ``center``, by the identity in
+    the module docstring; ``const`` only enters the minimum's value.
+    """
+
+    center: np.ndarray
+    curvature: float
+    const: float
 
 
 class Hindsight(NamedTuple):
     point: np.ndarray
     value: float
-    approx: bool
 
 
 def best_in_hindsight(feasible: FeasibleSet, loss) -> Hindsight:
-    """Best fixed decision for summed losses.
+    """Best fixed decision for summed losses, in closed form.
 
-    ``loss`` is either the summed linear coefficient vector (closed form) or a
-    :class:`BlackBoxLoss` (projected subgradient descent; the returned value
-    is approximate, to the solver's documented tolerance).
+    ``loss`` is either the summed linear coefficient vector or a
+    :class:`Quadratic`.
     """
-    if isinstance(loss, BlackBoxLoss):
-        point, value = minimize_convex(feasible, loss)
-        return Hindsight(point, value, True)
+    if isinstance(loss, Quadratic):
+        w = feasible.project(loss.center)
+        gap = w - loss.center
+        return Hindsight(w, 0.5 * loss.curvature * float(gap @ gap) + loss.const)
     u = as_decision(loss, d=feasible.d, field="loss")
     if isinstance(feasible, Box):
         # Minimize <u, w>: pick lo where u > 0, hi where u < 0; ties take lo.
         w = np.where(u < 0.0, feasible.hi, feasible.lo)
-        return Hindsight(w, float(u @ w), False)
+        return Hindsight(w, float(u @ w))
     nrm = float(np.linalg.norm(u))
     if nrm == 0.0:
-        return Hindsight(np.zeros(feasible.d), 0.0, False)
+        return Hindsight(np.zeros(feasible.d), 0.0)
     w = -(feasible.radius / nrm) * u
-    return Hindsight(w, -feasible.radius * nrm, False)
-
-
-def minimize_convex(
-    feasible: FeasibleSet,
-    loss: BlackBoxLoss,
-    tol: float = 1e-6,
-    max_iter: int = 50_000,
-) -> tuple[np.ndarray, float]:
-    """Projected subgradient descent on a black-box convex loss.
-
-    Uses the 2/(mu (k+1)) schedule when the loss is strongly convex and a
-    D/(||g|| sqrt(k)) schedule otherwise, tracking the best iterate.  Stops
-    early once the best value stagnates below ``tol / 10`` per sweep.  The
-    returned value is approximate: the target objective gap is ``tol``.
-    """
-    x = feasible.project(np.zeros(feasible.d))
-    best_x, best_v = x, float(loss.value(x))
-    diam = feasible.diameter()
-    check, last_best = 200, best_v
-    for k in range(1, max_iter + 1):
-        g = np.asarray(loss.subgrad(x), dtype=np.float64)
-        if loss.mu > 0:
-            step = 2.0 / (loss.mu * (k + 1))
-        else:
-            gn = float(np.linalg.norm(g))
-            if gn == 0.0:
-                break
-            step = diam / (gn * np.sqrt(k))
-        x = feasible.project(x - step * g)
-        v = float(loss.value(x))
-        if v < best_v:
-            best_x, best_v = x, v
-        if k % check == 0:
-            if last_best - best_v < tol / 10.0:
-                break
-            last_best = best_v
-    return best_x, best_v
+    return Hindsight(w, -feasible.radius * nrm)

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .domains import BlackBoxLoss, Box, ConfigError, FeasibleSet
+from .domains import Box, ConfigError, FeasibleSet, Quadratic
 
 __all__ = [
     "make_linear_adversary",
@@ -99,12 +99,13 @@ class _Rows:
 
 
 class _ColumnSum:
-    """``.sum(axis=0)`` of rows that arrive a chunk at a time, bit for bit.
+    """``.sum(axis=0)`` of rows that arrive a chunk at a time, bit for bit: an
+    environment's hindsight terms, or the trace columns of a batch of runs.
 
-    (rows, d) chunks are carried as ``np.add.reduce`` over the running sum
+    (rows, k) chunks are carried as ``np.add.reduce`` over the running sum
     stacked on the new rows.  numpy sums a 1-D array (or one column)
     pairwise, which no carry reproduces, so such rows are kept and summed at
-    the end: they are per-round scalars.
+    the end: they are per-round scalars, or one-row traces.
     """
 
     def __init__(self):
@@ -224,18 +225,11 @@ class _QuadraticLosses(_Online):
         self._hold(c)
         return self._cbar, self._csq
 
-    def _hind_result(self, cbar_sum: np.ndarray, csq_sum) -> BlackBoxLoss:
+    def _hind_result(self, cbar_sum: np.ndarray, csq_sum) -> Quadratic:
+        # sum_t (mu/2)(||w||^2 - 2<cbar_t, w> + csq_t) = (mu T/2) ||w - center||^2 + const
         T, mu = self.T, self.mu
-        cmean = cbar_sum / T
-        const = float(csq_sum)
-
-        def value(w):
-            return 0.5 * mu * (T * float(w @ w) - 2.0 * T * float(cmean @ w) + const)
-
-        def subgrad(w):
-            return mu * T * (w - cmean)
-
-        return BlackBoxLoss(value, subgrad, mu=mu * T)
+        center = cbar_sum / T
+        return Quadratic(center, mu * T, 0.5 * mu * (float(csq_sum) - T * float(center @ center)))
 
 
 class LinearAdversary(_LinearLosses):
@@ -483,17 +477,6 @@ class LadProblem:
         if self.mu > 0:
             out += 0.5 * self.mu * ((X - self.center) ** 2).sum(axis=1)
         return out
-
-    def blackbox(self) -> BlackBoxLoss:
-        """Full-batch oracle view of f, for solver cross-checks."""
-
-        def subgrad(x):
-            g = np.sign(x[None, None, :] - self._a).mean(axis=(0, 1))
-            if self.mu > 0:
-                g = g + self.mu * (x - self.center)
-            return g
-
-        return BlackBoxLoss(self.value, subgrad, mu=self.mu)
 
     # -- exact optimum ----------------------------------------------------
 

@@ -39,10 +39,10 @@ from .compressors import (
 )
 from .domains import (
     Ball,
-    BlackBoxLoss,
     Box,
     ConfigError,
     FeasibleSet,
+    Quadratic,
     best_in_hindsight,
 )
 from . import environments as envs
@@ -342,7 +342,6 @@ class RegretTrace(_Trace):
     f(x^t) - f*.
     """
 
-    approx_comparator: bool
     comparator_point: np.ndarray
     comparator_value: float
     decisions: np.ndarray | None = None
@@ -528,7 +527,6 @@ def _run_online(plans: list[_Plan], keep_decisions: bool, probe=None) -> list[Re
             bits_up=bits_up[r],
             bits_down=bits_down[r],
             subopt=None,
-            approx_comparator=h.approx,
             comparator_point=h.point,
             comparator_value=h.value,
             decisions=decisions[r] if keep_decisions else None,
@@ -586,19 +584,13 @@ def _o2b_trace(plan: _Plan, X, Wp, gbar, bits_up, bits_down, keep_decisions: boo
         hind = best_in_hindsight(plan.feasible, (alphas[:, None] * gbar).sum(axis=0))
         comp_rows = alphas * (gbar @ hind.point)
     else:
-        mu = plan.mu_step
+        # sum_t alpha_t (<gbar_t, w> + (mu/2) ||w - x_t||^2) = (mu A/2) ||w - center||^2 + const
+        mu, A = plan.mu_step, float(alphas.sum())
         U = (alphas[:, None] * gbar).sum(axis=0)
-        A = float(alphas.sum())
         Sx = (alphas[:, None] * X).sum(axis=0)
         Sxx = float((alphas * (X**2).sum(axis=1)).sum())
-
-        def value(w):
-            return float(U @ w) + 0.5 * mu * (A * float(w @ w) - 2.0 * float(Sx @ w) + Sxx)
-
-        def subgrad(w):
-            return U + mu * (A * w - Sx)
-
-        hind = best_in_hindsight(plan.feasible, BlackBoxLoss(value, subgrad, mu=mu * A))
+        center = (mu * Sx - U) / (mu * A)
+        hind = best_in_hindsight(plan.feasible, Quadratic(center, mu * A, 0.5 * mu * (Sxx - A * float(center @ center))))
         comp_rows = alphas * (gbar @ hind.point) + 0.5 * mu * alphas * ((hind.point - X) ** 2).sum(axis=1)
     comp_curve = np.cumsum(comp_rows)
 
@@ -613,7 +605,6 @@ def _o2b_trace(plan: _Plan, X, Wp, gbar, bits_up, bits_down, keep_decisions: boo
         bits_up=bits_up[idx],
         bits_down=bits_down[idx],
         subopt=subopt[idx],
-        approx_comparator=hind.approx,
         comparator_point=hind.point,
         comparator_value=hind.value,
         decisions=Wp[idx] if keep_decisions else None,
@@ -671,17 +662,6 @@ def _monte_carlo_many(configs: list[RunConfig], reps: int, workers: int) -> list
     return [fold.result() for fold in folds]
 
 
-def _carry_sum(acc, rows: list[np.ndarray]) -> np.ndarray:
-    """Carry the axis-0 sum of (S,) rows that arrive a batch at a time; the
-    final ``np.add.reduce(acc, axis=0, dtype=np.float64)`` has the bits of that
-    sum over all the rows at once.  numpy sums a one-column stack pairwise, so
-    at S = 1 the rows themselves are carried."""
-    stack = np.vstack(rows if acc is None else [acc, *rows])
-    if stack.shape[1] == 1:
-        return stack
-    return np.add.reduce(stack, axis=0, keepdims=True, dtype=np.float64)
-
-
 class _MeanFold:
     """One config's :class:`MeanTrace`, folded from its batches of traces in
     replication order.  The mean columns are carried as running sums; only
@@ -691,7 +671,7 @@ class _MeanFold:
 
     def __init__(self, reps: int):
         self.reps, self.seen = reps, 0
-        self.sums = dict.fromkeys(self._SUMMED)
+        self.sums = {name: envs._ColumnSum() for name in self._SUMMED}
 
     def add(self, traces: list[RegretTrace]) -> None:
         if self.seen == 0:
@@ -699,8 +679,8 @@ class _MeanFold:
             self.t = first.t
             self.regret = np.empty((self.reps, first.t.shape[0]))
             self.subopt = None if first.subopt is None else np.empty_like(self.regret)
-        for name in self._SUMMED:
-            self.sums[name] = _carry_sum(self.sums[name], [getattr(tr, name) for tr in traces])
+        for name, total in self.sums.items():
+            total.add(np.array([getattr(tr, name) for tr in traces]))
         for tr in traces:
             self.regret[self.seen] = tr.regret
             if self.subopt is not None:
@@ -708,7 +688,7 @@ class _MeanFold:
             self.seen += 1
 
     def result(self) -> MeanTrace:
-        means = {name: np.add.reduce(acc, axis=0, dtype=np.float64) / self.reps for name, acc in self.sums.items()}
+        means = {name: total.result() / self.reps for name, total in self.sums.items()}
         regret = self.regret.mean(axis=0)  # before _stderr overwrites the rows
         out = MeanTrace(
             t=self.t, regret=regret, regret_stderr=_stderr(self.regret), subopt=None, subopt_stderr=None, reps=self.reps, **means

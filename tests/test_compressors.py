@@ -13,7 +13,6 @@ from doco.compressors import (
     _CHUNK,
     _SenderBank,
     compress,
-    compressor_label,
     contraction_stat,
     derive_seed,
     entity_stream,
@@ -90,7 +89,7 @@ def test_nominal_delta_rejects_what_is_not_a_spec(spec):
 def test_parse_and_label_round_trip():
     for text in ["identity", "randk:8", "sign", "gossip:0.25"]:
         spec = parse_compressor(text)
-        assert parse_compressor(compressor_label(spec)) == spec
+        assert parse_compressor(spec.label()) == spec
     with pytest.raises(ConfigError, match="compressor"):
         parse_compressor("topk:3")
     with pytest.raises(ConfigError, match="compressor"):

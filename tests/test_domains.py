@@ -4,15 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from doco.domains import (
     Ball,
-    BlackBoxLoss,
     Box,
     ConfigError,
+    Quadratic,
     best_in_hindsight,
     ftrl_linear_step,
     ftrl_strongly_convex_step,
-    minimize_convex,
     project,
 )
+from oracles import BlackBoxLoss, minimize_convex
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,6 @@ def test_hindsight_box_matches_corner_enumeration():
     assert got.value == pytest.approx(-5.0)
     np.testing.assert_allclose(got.point, corner_w)
     assert got.value == pytest.approx(corner_v)
-    assert not got.approx
 
 
 def test_hindsight_box_randomized_corner_enumeration():
@@ -325,20 +324,57 @@ def test_hindsight_ball_zero_vector():
     assert got.value == 0.0
 
 
-def test_hindsight_blackbox_is_flagged_and_accurate():
-    # mu-strongly convex quadratic with a known constrained optimum.
-    box = Box(-np.ones(2), np.ones(2))
-    target = np.array([2.0, 0.25])  # optimum clips to (1, 0.25)
-    loss = BlackBoxLoss(
-        value=lambda w: 0.5 * float(((w - target) ** 2).sum()),
-        subgrad=lambda w: w - target,
-        mu=1.0,
-    )
-    got = best_in_hindsight(box, loss)
-    assert got.approx
-    expected = np.array([1.0, 0.25])
-    np.testing.assert_allclose(got.point, expected, atol=1e-6)
-    assert got.value == pytest.approx(0.5 * 1.0, abs=1e-6)
+def _quadratic_oracle(feasible, loss: Quadratic):
+    """The subgradient solver's minimum of ``loss``, through value and subgradient calls only."""
+
+    def value(w):
+        return 0.5 * loss.curvature * float(((w - loss.center) ** 2).sum()) + loss.const
+
+    return minimize_convex(feasible, BlackBoxLoss(value, lambda w: loss.curvature * (w - loss.center), loss.curvature))
+
+
+@pytest.mark.parametrize(
+    "feasible,center,expected",
+    [
+        (Box(-np.ones(2), np.ones(2)), [2.0, 0.25], [1.0, 0.25]),  # the box binds in one coordinate
+        (Box(np.zeros(3), np.ones(3)), [-0.5, 1.5, 0.3], [0.0, 1.0, 0.3]),
+        (Ball(1.0, 2), [3.0, 4.0], [0.6, 0.8]),  # outside the ball: scaled onto the sphere
+        (Ball(2.0, 2), [0.3, -0.4], [0.3, -0.4]),  # inside: the center itself
+    ],
+    ids=["box_binds_one", "box_binds_two", "ball_outside", "ball_inside"],
+)
+def test_hindsight_quadratic_is_the_projected_center(feasible, center, expected):
+    loss = Quadratic(np.array(center), 3.0, 0.75)
+    got = best_in_hindsight(feasible, loss)
+    assert feasible.contains(got.point)
+    np.testing.assert_allclose(got.point, expected, rtol=1e-15, atol=1e-15)
+    # The solver oracle, and a dense grid over the set, find nothing lower.
+    point, value = _quadratic_oracle(feasible, loss)
+    assert got.value == pytest.approx(value, rel=1e-12)
+    grid = np.stack(np.meshgrid(*[np.linspace(-2.0, 2.0, 401)] * 2, indexing="ij"), axis=-1).reshape(-1, 2)
+    if feasible.d == 2:
+        inside = grid[[feasible.contains(w) for w in grid]]
+        lowest = (0.5 * loss.curvature * ((inside - loss.center) ** 2).sum(axis=1) + loss.const).min()
+        assert got.value <= lowest + 1e-12 * abs(lowest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    ball=st.booleans(),
+    scale=st.floats(0.1, 3.0),
+    curvature=st.floats(1e-3, 1e3),
+    const=st.floats(-10.0, 10.0).filter(lambda c: abs(c) > 1e-3),
+    seed=st.integers(0, 2**16),
+)
+def test_hindsight_quadratic_matches_the_solver_oracle(d, ball, scale, curvature, const, seed):
+    rng = np.random.default_rng(seed)
+    feasible = Ball(scale, d) if ball else Box(-rng.uniform(0.0, scale, d), rng.uniform(0.0, scale, d))
+    loss = Quadratic(rng.uniform(-2.0 * scale, 2.0 * scale, d), curvature, const)
+    got = best_in_hindsight(feasible, loss)
+    assert feasible.contains(got.point)
+    _, value = _quadratic_oracle(feasible, loss)
+    assert got.value == pytest.approx(value, rel=1e-12)
 
 
 def test_minimize_convex_nonsmooth():

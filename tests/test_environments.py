@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from doco.domains import Ball, Box, ConfigError, best_in_hindsight, minimize_convex
+from doco.domains import Ball, Box, ConfigError, Quadratic, best_in_hindsight
 from doco.environments import (
     LadProblem,
     interval_boundaries,
@@ -14,6 +14,7 @@ from doco.environments import (
     make_sc_lower_bound_env,
     make_sc_quadratic_adversary,
 )
+from oracles import BlackBoxLoss, minimize_convex
 
 
 # ---------------------------------------------------------------------------
@@ -101,19 +102,23 @@ def test_quadratic_round_average_minimizer_is_projected_mean():
     grid_best = pts[int(np.argmin(totals))]
     expected = env.feasible.project(env._rows.rows(0, 6).mean(axis=(0, 1)))
     np.testing.assert_allclose(grid_best, expected, atol=1e-2)
-    # Hindsight black-box agrees with the grid values and descent finds the mean.
-    bb = env.hindsight()
-    assert bb.value(grid_best) == pytest.approx(totals.min(), rel=1e-10)
-    point, _ = minimize_convex(env.feasible, bb, tol=1e-9)
-    np.testing.assert_allclose(point, expected, atol=1e-6)
+    # The hindsight description agrees with the grid values, and its decision is the projected mean.
+    loss = env.hindsight()
+    assert _quadratic_value(loss, grid_best) == pytest.approx(totals.min(), rel=1e-10)
+    np.testing.assert_allclose(best_in_hindsight(env.feasible, loss).point, expected, rtol=1e-12, atol=1e-15)
 
 
-def test_quadratic_blackbox_matches_direct_sum():
+def _quadratic_value(loss: Quadratic, w) -> float:
+    return 0.5 * loss.curvature * float(((w - loss.center) ** 2).sum()) + loss.const
+
+
+def test_quadratic_hindsight_matches_direct_sum():
     env = make_sc_quadratic_adversary(2, 3, 12, mu=0.5, G=1.0, D=1.5, seed=8)
-    bb = env.hindsight()
+    loss = env.hindsight()
+    assert loss.curvature == 0.5 * 12
     w = env.feasible.project(np.array([0.1, -0.05, 0.2]))
     direct = float(env.mean_loss_curve(w).sum())
-    assert bb.value(w) == pytest.approx(direct, rel=1e-12)
+    assert _quadratic_value(loss, w) == pytest.approx(direct, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +307,11 @@ def test_lad_regularized_optimum_matches_grid_and_descent():
     vals = np.abs(xs[:, None] - data.ravel()[None, :]).mean(axis=1) + 0.25 * (xs - 0.5) ** 2
     assert f_star <= vals.min() + 1e-9
     assert abs(x_star[0] - xs[int(np.argmin(vals))]) <= 1e-4
-    # Projected subgradient descent agrees to its documented tolerance scale.
-    _, v = minimize_convex(box, problem.blackbox(), tol=1e-6, max_iter=40_000)
+    # Projected subgradient descent on the full-batch oracles agrees to its documented tolerance scale.
+    def subgrad(x):
+        return np.mean([problem.full_subgrad(i, x) for i in range(problem.n)], axis=0)
+
+    _, v = minimize_convex(box, BlackBoxLoss(problem.value, subgrad, mu=problem.mu), tol=1e-6, max_iter=40_000)
     assert v >= f_star - 1e-12
     assert v - f_star <= 1e-4
 
@@ -399,15 +407,7 @@ class FullQuadratic:
     def hindsight(self):
         T, mu = self.T, self.mu
         bmean = self._bbar.mean(axis=0)
-        const = float(self._bsq.sum())
-
-        def value(w):
-            return 0.5 * mu * (T * float(w @ w) - 2.0 * T * float(bmean @ w) + const)
-
-        def subgrad(w):
-            return mu * T * (w - bmean)
-
-        return value, subgrad, mu * T
+        return Quadratic(bmean, mu * T, 0.5 * mu * (float(self._bsq.sum()) - T * float(bmean @ bmean)))
 
 
 class FullIntervalLinear:
@@ -471,15 +471,7 @@ class FullIntervalQuadratic:
         abar, asq = self._per_round_terms()
         T, mu = self.T, self.mu
         amean = abar.mean(axis=0)
-        const = float(asq.sum())
-
-        def value(w):
-            return 0.5 * mu * (T * float(w @ w) - 2.0 * T * float(amean @ w) + const)
-
-        def subgrad(w):
-            return mu * T * (w - amean)
-
-        return value, subgrad, mu * T
+        return Quadratic(amean, mu * T, 0.5 * mu * (float(asq.sum()) - T * float(amean @ amean)))
 
 
 def _pair(kind, n, d, T, seed):
@@ -524,12 +516,8 @@ def test_streamed_environment_matches_full_table(kind, n, d, T):
             assert _same(env.grads(t, W[t - 1]), full.grads(t, W[t - 1]))
         assert _same(env.mean_loss_curve(w), full.mean_loss_curve(w))
         hind, want = env.hindsight(), full.hindsight()
-        if isinstance(want, tuple):
-            value, subgrad, mu = want
-            assert hind.mu == mu
-            for probe in (w, W[0], np.zeros(d)):
-                assert hind.value(probe) == value(probe)
-                assert _same(hind.subgrad(probe), subgrad(probe))
+        if isinstance(want, Quadratic):
+            assert all(_same(a, b) for a, b in zip(hind, want))
         else:
             assert _same(hind, want)
         assert _same(env.mean_loss_path(W), full.mean_loss_path(W))

@@ -78,9 +78,9 @@ RUN_SHA256 = {
     "dftfcl/convex_lower/sign": "a7204dde5703210bfc157d0f3c82a2f5e019ff67e093a4a398fcd51f56533d53",
     "dftfcl/convex_lower/gossip:0.25": "54762f272479cbbcecc3724c32bd7c4d7c90286448ecd0b7a5f7848963fea09f",
     "o2b/lad/randk:2/uniform": "132fb18354bf5a5bebd356111e5906e302d54dbf73140bdb531d1f0e7b677677",
-    "o2b/lad/randk:2/linear": "346e9c3bbb4dfbe97f949c54e35aa4ccafbeed5426f0d4a50a776110f30ea767",
+    "o2b/lad/randk:2/linear": "fb77a21bf5da9db5c232d45617ba63709378d85f701cc42a878e24dfb5775dc7",
     "o2b/lad/gossip:0.5/uniform": "e43d2387db530b13a1a0f89e0519784cdd308257ed28c291350ed1e0e0f0b45d",
-    "o2b/lad/gossip:0.5/linear": "c21ce7a3d8f991a89ab25653ef1c4d6ed0ef8d19909ad15002ac611087c15f65",
+    "o2b/lad/gossip:0.5/linear": "c517413231623aebdec6dcfbc692cc3f80b95e42cd9564d9e6bea80a8ed7f359",
 }
 
 NON_DYADIC = {
@@ -118,13 +118,13 @@ NON_DYADIC_SHA256 = {
     "dftcl/sc_quadratic/randk:2": "14afe3e0a770aa484bd35a9e5193ec07600096e89ac24b58d395fd8fe37f6381",
     "dftcl/sc_quadratic/sign/eta": "4e46fb33b997b4e972e0f5c94221ff1ad6c0a6a963bd749d93663285159a420f",
     "dftfcl/sc_quadratic/gossip:0.25": "38e0f88c36be4611effda082f5a563c2c7e086dacb3e0611963e6c1f5b8331b7",
-    "dftcl/sc_lower/gossip:0.25": "371c606ca56f353b5f5da5943319b32830b642dbf02e887cc8c36110bc7056f5",
-    "dftfcl/sc_lower/randk:2": "79a9806d82619d2a0b576a40645f47daafe718b64ff390e01f00253b73d08f71",
+    "dftcl/sc_lower/gossip:0.25": "0c8dd36cb658d8409312750c88560a0e68896940858da563e1998e7dbf4d3cb5",
+    "dftfcl/sc_lower/randk:2": "31bd00beb55d6b57f3387164e2ca4f0afa83ca7ced999fff227d78032acf3f8f",
     "dftcl/linear/randk:2/d5/unidirectional": "a61b77943183c700b2ad614f0bf5a295abca9494a6ecd63ac336f9aa58a6f107",
     "dftcl/convex_lower/gossip:0.25/unidirectional": "52d14814831fc2d6a6192a5fdd2d97fc5750c29f39c755239a87ad3f1e6a5534",
     "o2b/lad/randk:2/uniform/mu+eta": "647e4382551766a0d4785618614636b87c236f4c4ac3ca4d5ba64cefeca58e61",
     "o2b/lad/gossip:0.5/uniform/mu+eta/d5": "c94b4c129eb329b1198017fa11c9a626a48a4496d99d1f28928d2377cd2bccbc",
-    "o2b/lad/sign/linear/d5": "59313b08be1bf25e18ca8d3046b3c848e64d0eaa6a98b33e5f9e895113a3530c",
+    "o2b/lad/sign/linear/d5": "57d223954ffe1ae7b4a154c0a36304a56b71b63688004b36164c09c4324100bc",
 }
 
 MC_SHA256 = {
@@ -132,7 +132,7 @@ MC_SHA256 = {
     "dftcl/convex_lower/sign": "426fe43449422ca2fb69765d2457d6072762add0df2896926197f97c5103e55a",
     "dftfcl/linear/identity": "32244d8d0c60a13aefd8624b0a85359a2be5511cb3508f7d03a7ed17475dcbe1",
     "dftfcl/convex_lower/gossip:0.25": "05c1f47f4ebc0019dd264c474ba1b0eb5db0839041d1d279240c206182553777",
-    "o2b/lad/randk:2/linear": "3d840f7f9ce0bdb6bab41802020da1ea1126db39a61f62aeb3354146e67feb25",
+    "o2b/lad/randk:2/linear": "c0c37f133e31044db1239c30ee1ebf1fe4fb007b3f4f8418dfedf1ba25f917fa",
     "o2b/lad/gossip:0.5/uniform": "cac36fb1f2e97fd9e2b11494ecdf0c6fdd7378c1b8bc5b0c367cf86988905337",
 }
 

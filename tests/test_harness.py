@@ -8,7 +8,7 @@ import pytest
 import doco.harness as harness
 from doco.compressors import Identity, RandK, derive_seed
 from doco.domains import Ball, Box, ConfigError
-from doco.environments import LadProblem, LinearAdversary, make_linear_adversary, make_sc_quadratic_adversary
+from doco.environments import LadProblem, LinearAdversary, make_linear_adversary
 from doco.harness import (
     MeanTrace,
     RegretTrace,
@@ -19,6 +19,7 @@ from doco.harness import (
     run,
     verify_lemma,
 )
+from oracles import BlackBoxLoss, minimize_convex
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +140,63 @@ def test_bits_columns_are_cumulative_message_costs():
     np.testing.assert_array_equal(trace.bits_down, per_msg * np.arange(1, 51))
 
 
-def test_comparator_flags():
-    convex = run(RunConfig(T=64, n=2, d=3, seed=0))
-    assert not convex.approx_comparator
-    curved = run(RunConfig(T=64, n=2, d=3, env="sc_quadratic", mu=0.5, G=1.0, D=1.0, seed=0))
-    assert curved.approx_comparator
-    # The descent comparator agrees with the closed-form projected mean.
-    env = make_sc_quadratic_adversary(2, 3, 64, 0.5, 1.0, 1.0, derive_seed(0, harness._ENV))
-    expected = env.feasible.project(env._rows.rows(0, 64).mean(axis=(0, 1)))
-    np.testing.assert_allclose(curved.comparator_point, expected, atol=1e-6)
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(T=64, n=2, d=3, env="sc_quadratic", mu=0.5, G=1.0, D=1.0, seed=0),
+        RunConfig(T=300, n=4, d=3, env="sc_lower", compressor="gossip:0.25", mu=0.5, seed=1),
+    ],
+    ids=["sc_quadratic", "sc_lower"],
+)
+def test_curved_online_comparator_is_exact(cfg):
+    # The solver oracle sees the summed loss only through the environment's
+    # per-round losses and gradients.
+    trace = run(cfg)
+    env = harness._resolve(cfg).env
+    loss = BlackBoxLoss(
+        lambda w: float(env.mean_loss_curve(w).sum()),
+        lambda w: sum(env.grads(t, w).mean(axis=0) for t in range(1, cfg.T + 1)),
+        mu=cfg.mu * cfg.T,
+    )
+    _, value = minimize_convex(env.feasible, loss)
+    assert env.feasible.contains(trace.comparator_point, tol=0.0)
+    assert trace.comparator_value == pytest.approx(value, rel=1e-12)
+    assert trace.comparator[-1] == pytest.approx(value, rel=1e-12)
+    if cfg.env == "sc_quadratic":  # anchors uniform in the box: the minimizer is their mean
+        expected = env._rows.rows(0, cfg.T).mean(axis=(0, 1))
+        np.testing.assert_allclose(trace.comparator_point, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_o2b_linear_weights_comparator_is_exact(monkeypatch):
+    # At mu = 0.1 the surrogate's unconstrained minimizer leaves the box in
+    # coordinate 2, so the comparator is a projection that binds.  The oracle
+    # sums the surrogate losses alpha_t (<gbar_t, w> + (mu/2) ||w - x_t||^2)
+    # from the paths the driver recorded.
+    cfg = RunConfig("o2b", "lad", 256, 3, 4, "randk:2", weights="linear", mu=0.1, samples=16, seed=0)
+    paths, trace_of = [], harness._o2b_trace
+
+    def recording(plan, X, Wp, gbar, *rest):
+        paths.append((plan.feasible, X, gbar))
+        return trace_of(plan, X, Wp, gbar, *rest)
+
+    monkeypatch.setattr(harness, "_o2b_trace", recording)
+    trace = run(cfg)
+    (box, X, gbar), mu = paths[0], cfg.mu
+    alphas = np.arange(1, X.shape[0] + 1, dtype=np.float64)
+
+    def value(w):
+        return float((alphas * (gbar @ w + 0.5 * mu * ((w - X) ** 2).sum(axis=1))).sum())
+
+    def subgrad(w):
+        return (alphas[:, None] * (gbar + mu * (w - X))).sum(axis=0)
+
+    _, oracle = minimize_convex(box, BlackBoxLoss(value, subgrad, mu=mu * alphas.sum()))
+    point = trace.comparator_point
+    assert box.contains(point, tol=0.0)
+    assert point[2] == 0.0 and abs(subgrad(point)[2]) > 1.0  # binding: the gradient points out of the box
+    assert trace.comparator_value == pytest.approx(oracle, rel=1e-12)
+    assert value(point) == pytest.approx(oracle, rel=1e-12)
+    assert trace.comparator[-1] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_geometric_rows_match_the_dense_trace_and_a_full_pass():
@@ -295,6 +344,30 @@ def test_monte_carlo_one_row_trace_bytes_equal_mean_of_single_runs(tmp_path):
     monte_carlo(cfg, reps=50, workers=1).to_csv(mean)
     _mean_of_runs(cfg, 50).to_csv(ref)
     assert mean.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("S", [1, 5])
+def test_mean_fold_sums_integer_bit_columns_exactly(S):
+    # The bit columns are int64 and are carried as integer sums; the means
+    # equal those of a float64 sum of all the rows at once (exact below 2^53).
+    rng = np.random.default_rng(S)
+    bits = rng.integers(0, 2**44, size=(17, S))
+    fold = harness._MeanFold(17)
+    for batch in np.array_split(np.arange(17), [5, 11]):
+        fold.add([
+            RegretTrace(
+                t=np.arange(1, S + 1), cum_loss=bits[r] / 3.0, comparator=np.zeros(S), regret=np.zeros(S),
+                bits_up=bits[r], bits_down=bits[r][::-1].copy(), subopt=None, comparator_point=np.zeros(2),
+                comparator_value=0.0,
+            )
+            for r in batch
+        ])  # fmt: skip
+    mean = fold.result()
+    for got, rows in ((mean.bits_up, bits), (mean.bits_down, bits[:, ::-1])):
+        assert got.dtype == np.float64
+        assert got.tobytes() == (np.add.reduce(rows, axis=0, dtype=np.float64) / 17).tobytes()
+        assert got.tobytes() == (rows.sum(axis=0) / 17).tobytes()
+    assert mean.cum_loss.tobytes() == ((bits / 3.0).sum(axis=0) / 17).tobytes()
 
 
 class _NanFrom37(LinearAdversary):
@@ -445,7 +518,7 @@ def test_monte_carlo_holds_one_row_per_replication(monkeypatch):
             bits = lambda: np.full(S, seed % 5, dtype=np.int64)  # noqa: E731
             return RegretTrace(
                 t=t, cum_loss=col(), comparator=col(), regret=col(), bits_up=bits(), bits_down=bits(),
-                subopt=None, approx_comparator=False, comparator_point=np.zeros(2), comparator_value=0.0,
+                subopt=None, comparator_point=np.zeros(2), comparator_value=0.0,
             )  # fmt: skip
 
         return [trace(s) for s in seeds]
