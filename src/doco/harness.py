@@ -590,7 +590,8 @@ def _o2b_trace(plan: _Plan, X, Wp, gbar, bits_up, bits_down, keep_decisions: boo
         Sx = (alphas[:, None] * X).sum(axis=0)
         Sxx = float((alphas * (X**2).sum(axis=1)).sum())
         center = (mu * Sx - U) / (mu * A)
-        hind = best_in_hindsight(plan.feasible, Quadratic(center, mu * A, 0.5 * mu * (Sxx - A * float(center @ center))))
+        loss = Quadratic(center, mu * A, 0.5 * mu * (Sxx - A * float(center @ center)))
+        hind = best_in_hindsight(plan.feasible, loss)
         comp_rows = alphas * (gbar @ hind.point) + 0.5 * mu * alphas * ((hind.point - X) ** 2).sum(axis=1)
     comp_curve = np.cumsum(comp_rows)
 

@@ -349,11 +349,11 @@ def test_hindsight_quadratic_is_the_projected_center(feasible, center, expected)
     assert feasible.contains(got.point)
     np.testing.assert_allclose(got.point, expected, rtol=1e-15, atol=1e-15)
     # The solver oracle, and a dense grid over the set, find nothing lower.
-    point, value = _quadratic_oracle(feasible, loss)
+    _, value = _quadratic_oracle(feasible, loss)
     assert got.value == pytest.approx(value, rel=1e-12)
-    grid = np.stack(np.meshgrid(*[np.linspace(-2.0, 2.0, 401)] * 2, indexing="ij"), axis=-1).reshape(-1, 2)
     if feasible.d == 2:
-        inside = grid[[feasible.contains(w) for w in grid]]
+        grid = np.stack(np.meshgrid(*[np.linspace(-2.0, 2.0, 401)] * 2, indexing="ij"), axis=-1).reshape(-1, 2)
+        inside = grid[np.all(feasible.project(grid) == grid, axis=1)]
         lowest = (0.5 * loss.curvature * ((inside - loss.center) ** 2).sum(axis=1) + loss.const).min()
         assert got.value <= lowest + 1e-12 * abs(lowest)
 

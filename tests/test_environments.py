@@ -83,6 +83,10 @@ def test_quadratic_gradient_bound_holds_all_rounds():
         assert np.linalg.norm(g.mean(axis=0)) <= env.G + 1e-12
 
 
+def _quadratic_value(loss: Quadratic, w) -> float:
+    return 0.5 * loss.curvature * float(((w - loss.center) ** 2).sum()) + loss.const
+
+
 def test_quadratic_round_average_minimizer_is_projected_mean():
     env = make_sc_quadratic_adversary(3, 2, 6, mu=1.0, G=1.0, D=1.0, seed=5)
     # Independent oracle: dense grid over the box on the summed mean loss,
@@ -106,10 +110,6 @@ def test_quadratic_round_average_minimizer_is_projected_mean():
     loss = env.hindsight()
     assert _quadratic_value(loss, grid_best) == pytest.approx(totals.min(), rel=1e-10)
     np.testing.assert_allclose(best_in_hindsight(env.feasible, loss).point, expected, rtol=1e-12, atol=1e-15)
-
-
-def _quadratic_value(loss: Quadratic, w) -> float:
-    return 0.5 * loss.curvature * float(((w - loss.center) ** 2).sum()) + loss.const
 
 
 def test_quadratic_hindsight_matches_direct_sum():
