@@ -294,17 +294,23 @@ class O2b(_Engine):
         self._alpha_total = 0.0
 
     def step(self, problem, rng: np.random.Generator) -> UpdateInfo:
-        """One update: form x^t, query the problem's stochastic subgradients, communicate, step.
+        """One update: form x^t, query ``problem.stochastic_grads(x^t, rng)``, communicate, step.
 
         In lockstep, ``problem.stochastic_grads`` receives the (R, d) iterates
-        with ``rng`` and returns (R, n, d) subgradients."""
+        with ``rng`` and returns (R, n, d) subgradients.  The run driver takes
+        the same update through ``_step``, with its oracle reading a table of
+        picked samples."""
+        return self._step(lambda x: problem.stochastic_grads(x, rng))
+
+    def _step(self, oracle) -> UpdateInfo:
+        """One update with the subgradients ``oracle(x^t)``."""
         self.t += 1
         alpha = float(self.t) if self.weights == "linear" else 1.0
         w_played = self.decision
         self._x_weighted += alpha * w_played
         self._alpha_total += alpha
         x = self._x_weighted / self._alpha_total
-        grads = problem.stochastic_grads(x, rng)
+        grads = oracle(x)
         scaled = self.e + alpha * grads
         v, bits = self._up.send(scaled, self.L)
         self.e = scaled - v

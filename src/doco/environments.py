@@ -8,10 +8,10 @@ hindsight.  Rounds are drawn in chunks of 256, in order, from one stream
 seeded by ``seed``; asking for a chunk behind the stream's position re-seeds
 it and redraws.  The numbers are those one draw of every round would give, so
 an environment is a deterministic function of (seed, round, learner) in any
-access order, and it holds one chunk of rounds instead of all T (the strongly
-convex interval sequence also keeps its one coin per interval).  A chunk's
+access order, and it holds one chunk of rounds instead of all T.  A chunk's
 gradients are one read-only (rounds, n, d) table and one rule that turns a
-table row and the decision into gradients.
+table row and the decision into gradients; the lad problem's stochastic
+oracle has the same shape (see :class:`LadProblem`).
 
 The two "lower bound" environments keep each learner's loss constant on
 intervals of length ceil(1/delta) and redraw it at interval boundaries; with a
@@ -369,15 +369,14 @@ class IntervalQuadraticEnv(_QuadraticLosses):
         self.feasible = Box(np.zeros(d), self._side * np.ones(d))
         self._K = math.ceil(1.0 / delta)
         self._Z = (T - 1) // self._K
-        rng = np.random.default_rng(seed)
-        self._ones = (rng.random(self._Z + 1) < p).astype(np.float64)  # z_i = 1 per interval
+        self._rows = _Rows(seed, lambda rng, k: (rng.random(k) < p).astype(np.float64))  # z_i = 1 per interval
 
     def _load(self, a: int, b: int) -> None:
         idx = _interval_index(a, b, self._K, self._Z)
         lo, hi = int(idx[0]), int(idx[-1]) + 1
         # anchors[i] has one row per learner: zero rows, then side * z_i rows.
         anchors = np.zeros((hi - lo, self.n, self.d))
-        anchors[:, self.m :, :] = (self._side * self._ones[lo:hi])[:, None, None]
+        anchors[:, self.m :, :] = (self._side * self._rows.rows(lo, hi))[:, None, None]
         local = idx - lo
         self._table = anchors[local]
         self._cbar = anchors.mean(axis=1)[local]
@@ -394,6 +393,12 @@ class LadProblem:
     global optimum is exact: the coordinate-wise median of all n*s points
     clipped to the box, or the per-coordinate root of the piecewise-linear
     derivative in the regularized case.
+
+    Like an online environment's chunk, the oracle is a table and a rule:
+    ``_picks(rng, k)`` draws the (k, n, d) samples that k oracle calls pick,
+    and ``_gradient(rows, x)`` turns picked rows into subgradients, with any
+    leading axes: (n, d) rows at a (d,) iterate, or a lockstep batch's
+    (R, n, d) rows at its (R, d) iterates.
     """
 
     def __init__(
@@ -446,11 +451,17 @@ class LadProblem:
 
     def stochastic_grads(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One sign(x - a) subgradient per learner at a uniformly drawn sample."""
-        j = rng.integers(self.samples, size=self.n)
-        picked = self._a[np.arange(self.n), j]
-        g = np.sign(x - picked)
+        return self._gradient(self._picks(rng, 1)[0], x)
+
+    def _picks(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """The samples k oracle calls pick, (k, n, d): the same numbers, and
+        the same stream state after, as k draws of one index per learner."""
+        return self._a[np.arange(self.n), rng.integers(self.samples, size=(k, self.n))]
+
+    def _gradient(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        g = np.sign(x[..., None, :] - rows)
         if self.mu > 0:
-            g = g + self.mu * (x - self.center)
+            g = g + self.mu * (x - self.center)[..., None, :]
         return g
 
     def full_subgrad(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -522,34 +533,9 @@ class LadProblem:
         return float(cand[int(np.argmin(phi))])
 
 
-def make_linear_adversary(n: int, d: int, T: int, G: float, seed: int) -> LinearAdversary:
-    return LinearAdversary(n, d, T, G, seed)
-
-
-def make_sc_quadratic_adversary(
-    n: int, d: int, T: int, mu: float, G: float, D: float, seed: int
-) -> QuadraticAdversary:
-    return QuadraticAdversary(n, d, T, mu, G, D, seed)
-
-
-def make_convex_lower_bound_env(
-    n: int, d: int, T: int, G: float, D: float, delta: float, seed: int
-) -> IntervalLinearEnv:
-    return IntervalLinearEnv(n, d, T, G, D, delta, seed)
-
-
-def make_sc_lower_bound_env(
-    n: int, d: int, T: int, mu: float, D: float, delta: float, p: float, seed: int
-) -> IntervalQuadraticEnv:
-    return IntervalQuadraticEnv(n, d, T, mu, D, delta, p, seed)
-
-
-def make_lad_problem(
-    n: int,
-    d: int,
-    samples_per_learner: int,
-    feasible: FeasibleSet,
-    seed: int,
-    mu: float = 0.0,
-) -> LadProblem:
-    return LadProblem(n, d, samples_per_learner, feasible, seed, mu=mu)
+# The builders the run driver looks up by name (see ``harness._ENVS``).
+make_linear_adversary = LinearAdversary
+make_sc_quadratic_adversary = QuadraticAdversary
+make_convex_lower_bound_env = IntervalLinearEnv
+make_sc_lower_bound_env = IntervalQuadraticEnv
+make_lad_problem = LadProblem

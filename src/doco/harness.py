@@ -367,7 +367,6 @@ def run(config: RunConfig, keep_decisions: bool = False) -> RegretTrace:
 
 
 _BATCH = 16  # most replications one engine advances in lockstep; each holds its own environment
-_CHECK_ROUNDS = 256  # o2b updates between finiteness checks; online runs check each environment chunk
 
 
 def _run_batch(config: RunConfig, seeds: tuple, keep_decisions: bool = False, probe=None) -> list[RegretTrace]:
@@ -385,17 +384,6 @@ def _run_batch(config: RunConfig, seeds: tuple, keep_decisions: bool = False, pr
     return _run_online(plans, keep_decisions, probe)
 
 
-class _Lockstep:
-    """Per-replication lad problems seen as one: row r of every argument and
-    of every result belongs to replication r."""
-
-    def __init__(self, members: list):
-        self.members = members
-
-    def stochastic_grads(self, X: np.ndarray, rngs: list) -> np.ndarray:
-        return np.array([p.stochastic_grads(x, rng) for p, x, rng in zip(self.members, X, rngs)])
-
-
 def _engine(plans: list[_Plan]):
     """Build the engine of a batch, one replication per plan.
 
@@ -411,6 +399,17 @@ def _engine(plans: list[_Plan]):
     if cfg.algo == "dftcl":
         return Dftcl(plan.feasible, cfg.n, plan.spec, unidirectional=cfg.unidirectional, **common)
     return Dftfcl(plan.feasible, cfg.n, plan.spec, plan.L, **common)
+
+
+def _stacker(R: int, n: int, d: int):
+    """``stack(tables)``: the replications' chunk tables, (rows, n, d) each, as
+    the batch's one table: the table itself for one replication, else
+    (rows, R, n, d) in one buffer that every chunk reuses.  A fresh stack per
+    chunk raised the peak RSS of a process running R=8, n=8, d=16 batches by ~4 MB."""
+    if R == 1:
+        return lambda tables: tables[0]
+    buffer = np.empty((envs._CHUNK, R, n, d))
+    return lambda tables: np.stack(tables, axis=1, out=buffer[: len(tables[0])])
 
 
 def _check_finite(field: str, rows: np.ndarray, rounds, plans: list[_Plan], step: str = "round") -> None:
@@ -468,14 +467,12 @@ def _run_online(plans: list[_Plan], keep_decisions: bool, probe=None) -> list[Re
     bits_up, bits_down = np.empty((R, S), dtype=np.int64), np.empty((R, S), dtype=np.int64)
     decisions = np.empty((R, S, d)) if keep_decisions else None
     folds = [envs._Hindsight(env) for env in members]
-    # One buffer for every chunk's stacked tables: a fresh stack per chunk raised
-    # the peak RSS of a process running R=8, n=8, d=16 batches by ~4 MB.
-    stacked = None if R == 1 else np.empty((envs._CHUNK, R, plan.env.n, d))
+    stack = _stacker(R, plan.env.n, d)
     last = None
     for c, a, b in envs._chunks(T):
         for env in members:
             env._hold(c)
-        table = plan.env._table if R == 1 else np.stack([env._table for env in members], axis=1, out=stacked[: b - a])
+        table = stack([env._table for env in members])
         W = np.empty((b - a, R, d))
         bu, bd = np.empty((b - a, R), dtype=np.int64), np.empty((b - a, R), dtype=np.int64)
         live = min(max(engine_rounds - a, 0), b - a)
@@ -536,14 +533,17 @@ def _run_online(plans: list[_Plan], keep_decisions: bool, probe=None) -> list[Re
 
 
 def _run_o2b(plans: list[_Plan], keep_decisions: bool, probe=None) -> list[RegretTrace]:
+    """Take the updates a chunk at a time: each replication's oracle stream
+    picks the chunk's samples, a batch's stacked into one table, and the
+    engine steps off its rows.  Each chunk's paths are checked before the next."""
     plan, R = plans[0], len(plans)
     K, d = plan.K, plan.env.d
     eng = _engine(plans)
     rngs = [entity_stream(p.cfg.seed, _ORACLE) for p in plans]
-    problem, rng = (plan.env, rngs[0]) if R == 1 else (_Lockstep([p.env for p in plans]), rngs)
+    gradient = plan.env._gradient
 
-    def step(t: int):
-        return eng.step(problem, rng)
+    def step(t: int):  # the loop below binds ``table``: the chunk's picked rows, from update a + 1 on
+        return eng._step(lambda x: gradient(table[t - 1 - a], x))
 
     if probe is not None:
         step = probe(plans, eng, step, K)
@@ -552,9 +552,10 @@ def _run_o2b(plans: list[_Plan], keep_decisions: bool, probe=None) -> list[Regre
     gbar = np.empty((K, R, d))
     bits_up = np.empty((K, R), dtype=np.int64)
     bits_down = np.empty((K, R), dtype=np.int64)
-    for start in range(0, K, _CHECK_ROUNDS):
-        stop = min(start + _CHECK_ROUNDS, K)
-        for t in range(start + 1, stop + 1):
+    stack = _stacker(R, plan.env.n, d)
+    for _, a, b in envs._chunks(K):
+        table = stack([p.env._picks(rng, b - a) for p, rng in zip(plans, rngs)])
+        for t in range(a + 1, b + 1):
             info = step(t)
             X[t - 1] = info.x
             Wp[t - 1] = info.w_played
@@ -562,7 +563,7 @@ def _run_o2b(plans: list[_Plan], keep_decisions: bool, probe=None) -> list[Regre
             bits_up[t - 1] = eng.bits_up
             bits_down[t - 1] = eng.bits_down
         for field, rows in (("gradient", gbar), ("decision", Wp), ("iterate", X)):
-            _check_finite(field, rows[start:stop], range(start + 1, stop + 1), plans, "update")
+            _check_finite(field, rows[a:b], range(a + 1, b + 1), plans, "update")
     if probe is not None:
         return []
     return [

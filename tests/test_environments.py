@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doco.domains import Ball, Box, ConfigError, Quadratic, best_in_hindsight
 from doco.environments import (
@@ -226,6 +228,18 @@ def test_sc_lower_validation():
         make_sc_lower_bound_env(2, 2, 16, mu=1.0, D=1.0, delta=0.25, p=0.5, seed=0)
 
 
+def test_sc_lower_construction_draws_no_coins():
+    # T = 2^22 at delta = 1/4 has 2^20 intervals: one drawn double per
+    # interval would hold 8 MB, and drawing them at once 9 MB at the peak.
+    tracemalloc.start()
+    try:
+        make_sc_lower_bound_env(2, 2, 2**22, mu=1.0, D=1.0, delta=0.25, p=0.5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # Least absolute deviation problem
 # ---------------------------------------------------------------------------
@@ -295,6 +309,46 @@ def test_lad_oracle_norm_bound():
         x = rng.uniform(0, 1, 5)
         g = problem.stochastic_grads(x, rng)
         assert np.linalg.norm(g, axis=1).max() <= problem.G + 1e-12
+
+
+class _IndexEcho:
+    """Stands in for a lad problem's (n, samples, d) shards: the sample at
+    [i, j] is the pair (i, j), so any number of samples costs no memory."""
+
+    def __getitem__(self, key):
+        return np.stack(np.broadcast_arrays(*key), axis=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 4, 5, 7, 8]),
+    samples=st.one_of(st.integers(1, 40), st.integers(2**31 - 2, 2**31 + 5), st.integers(2**32 - 2, 2**40)),
+    k=st.sampled_from([1, 2, 7, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lad_chunked_picks_equal_one_draw_per_oracle_call(n, samples, k, seed):
+    # Odd n leaves half a 64-bit draw over after a call when samples < 2^32.
+    problem = SimpleNamespace(n=n, samples=samples, _a=_IndexEcho())
+    chunked, per_call = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = LadProblem._picks(problem, chunked, k)
+    want = np.stack([problem._a[np.arange(n), per_call.integers(samples, size=n)] for _ in range(k)])
+    assert got.shape == want.shape == (k, n, 2) and np.array_equal(got, want)
+    assert chunked.bit_generator.state == per_call.bit_generator.state
+
+
+def test_lad_oracle_is_its_gradient_rule_at_one_pick():
+    problem = make_lad_problem(3, 4, 8, Box(np.zeros(4), np.ones(4)), seed=6, mu=0.5)
+    x = np.random.default_rng(1).uniform(0, 1, 4)
+    a, b = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(5):
+        rows = problem._a[np.arange(3), b.integers(8, size=3)]
+        want = np.sign(x - rows) + 0.5 * (x - problem.center)
+        assert problem.stochastic_grads(x, a).tobytes() == want.tobytes()
+    # A lockstep batch's rows and iterates: replication r is the single call.
+    X, rows = np.random.default_rng(3).uniform(0, 1, (2, 4)), problem._picks(a, 2)
+    batched = problem._gradient(rows, X)
+    for r in range(2):
+        assert batched[r].tobytes() == problem._gradient(rows[r], X[r]).tobytes()
 
 
 def test_lad_regularized_optimum_matches_grid_and_descent():

@@ -402,11 +402,15 @@ def test_monte_carlo_rejects_non_finite_decisions(monkeypatch, workers):
 
 def test_o2b_rejects_non_finite_gradients(monkeypatch):
     class NanFrom5(LadProblem):
+        """The lad problem, but every sample picked from update 5 on is NaN."""
+
         calls = 0
 
-        def stochastic_grads(self, x, rng):
-            self.calls += 1
-            return super().stochastic_grads(x, rng) * (np.nan if self.calls >= 5 else 1.0)
+        def _picks(self, rng, k):
+            rows = super()._picks(rng, k)
+            updates = self.calls + 1 + np.arange(k)
+            self.calls += k
+            return np.where((updates >= 5)[:, None, None], np.nan, rows)
 
     monkeypatch.setattr(harness.envs, "make_lad_problem", lambda *args, **kw: NanFrom5(*args, **kw))
     cfg = RunConfig(algo="o2b", env="lad", T=64, n=2, d=3, samples=8, compressor="identity", L=2, seed=1)
