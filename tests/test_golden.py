@@ -127,6 +127,34 @@ NON_DYADIC_SHA256 = {
     "o2b/lad/sign/linear/d5": "57d223954ffe1ae7b4a154c0a36304a56b71b63688004b36164c09c4324100bc",
 }
 
+# Transfers whose length L does not divide the 256 compressor calls a sender
+# bank draws at once.  L = 3 is also the default for randk:2 at d = 5, so the
+# first row hashes like its NON_DYADIC twin.
+ODD_L = {
+    "dftfcl/linear/randk:2/d5/L3": RunConfig("dftfcl", "linear", T, N, 5, "randk:2", L=3, seed=11),
+    "dftfcl/linear/randk:2/d5/L5": RunConfig("dftfcl", "linear", T, N, 5, "randk:2", L=5, seed=11),
+    "o2b/lad/randk:2/uniform/L3": RunConfig("o2b", "lad", T, N, D, "randk:2", L=3, samples=16, seed=11),
+    "o2b/lad/randk:2/linear/L3": RunConfig(
+        "o2b", "lad", T, N, D, "randk:2", L=3, weights="linear", mu=0.5, samples=16, seed=11
+    ),
+    "o2b/lad/gossip:0.5/uniform/L3": RunConfig("o2b", "lad", T, N, D, "gossip:0.5", L=3, samples=16, seed=11),
+    "o2b/lad/gossip:0.5/linear/L3": RunConfig(
+        "o2b", "lad", T, N, D, "gossip:0.5", L=3, weights="linear", mu=0.5, samples=16, seed=11
+    ),
+}
+
+ODD_L_SHA256 = {
+    "dftfcl/linear/randk:2/d5/L3": "0054eb0821afe2c380dbeff602b777575c193378911082f0ba094a6cd4e1bca4",
+    "dftfcl/linear/randk:2/d5/L5": "ddd71148420c83d43de70d4b8cfc4edbe75babe1246c47e0c1c70090782a0486",
+    "o2b/lad/randk:2/uniform/L3": "68904134ac937cf6c56910b07db76e1702dff060605fb752c6a6788730b7191c",
+    "o2b/lad/randk:2/linear/L3": "87be61c939eab932517bb3d2dc030d71daa6968ab74418ecf1e9f39afb85ae1d",
+    "o2b/lad/gossip:0.5/uniform/L3": "3c3125d676e03aadf613151576d8bf16fc94f355019f20871331681c3db3a56c",
+    "o2b/lad/gossip:0.5/linear/L3": "e993b50c9f803fe8c9a05221accfed57b805c73e2ec709d6adba0c6e18590200",
+}
+
+ODD_L_MC = "o2b/lad/gossip:0.5/linear/L3"
+ODD_L_MC_SHA256 = "6bcf6a29f87d4839dbc9f3484b05a4f2b624f9fa156cceb00ea8a8fe2fd91446"
+
 MC_SHA256 = {
     "dftcl/linear/randk:2": "7b9b92065a87747055c4b69fb45514fef353f495706aaf9214011cf3db2dc863",
     "dftcl/convex_lower/sign": "426fe43449422ca2fb69765d2457d6072762add0df2896926197f97c5103e55a",
@@ -160,6 +188,16 @@ def test_monte_carlo_trace_bytes_any_worker_count(label, tmp_path):
     pooled = _sha(monte_carlo(cfg, reps=3, workers=2), tmp_path)
     assert serial == pooled
     assert serial == MC_SHA256[label]
+
+
+@pytest.mark.parametrize("label", ODD_L)
+def test_odd_L_run_trace_bytes(label, tmp_path):
+    assert _sha(run(ODD_L[label]), tmp_path) == ODD_L_SHA256[label]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_odd_L_monte_carlo_trace_bytes(workers, tmp_path):
+    assert _sha(monte_carlo(ODD_L[ODD_L_MC], reps=3, workers=workers), tmp_path) == ODD_L_MC_SHA256
 
 
 # sha256 of ``repr`` of each check's report.  17 seeds make two lockstep
