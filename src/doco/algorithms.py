@@ -10,7 +10,9 @@ update) by the harness:
 * :class:`Dftfcl` - the blocked variant: the decision is frozen for L rounds
   while block gradients accumulate, and each transfer is spread over the L
   rounds of the following block as a recursive residual compression.  Updates
-  therefore lag two blocks behind the gradients they consume.
+  therefore lag two blocks behind the gradients they consume.  A transfer's
+  content is fixed at the block boundary, so it is sent there, whole; its
+  bits are counted round by round, one compressor call per round.
 * :class:`O2b` - anytime online-to-batch driver for stochastic problems:
   queries subgradients at the running weighted average of the online decisions
   and feeds weighted surrogate losses to the online update; each update's
@@ -19,9 +21,10 @@ update) by the harness:
 All three are one error-feedback hop inside FTRL, held by a private base:
 the base owns the memories, the counters and the sender banks, sends the
 server leg (``_broadcast``: the same code for Dftcl with one round and O2b
-with L rounds) and takes the leader step (``_lead``).  Each engine sends its
-own learner leg, because Dftcl's ``e += g - v`` and O2b's ``e = (e + alpha g) - v``
-are both sound but round differently, and the traces pin those bits.
+with L rounds, a bank's transfer being L rounds long) and takes the leader
+step (``_lead``).  Each engine sends its own learner leg, because Dftcl's
+``e += g - v`` and O2b's ``e = (e + alpha g) - v`` are both sound but round
+differently, and the traces pin those bits.
 
 Learner loops run in a fixed index order; the updates are order-independent,
 so this matches a parallel execution exactly.  Given a tuple of seeds, an
@@ -106,17 +109,18 @@ class _Engine:
         self.msgs_up = 0  # per replication: every replication sends the same messages
         self.msgs_down = 0
         up = [entity_stream(s, _LEARNER, i) for s in seeds for i in range(n)]
-        self._up = _SenderBank(spec, self.d, up, lead + (n,))
-        self._down = _SenderBank(server_spec, self.d, [entity_stream(s, _SERVER, 0) for s in seeds], lead + (1,))
+        self._up = _SenderBank(spec, self.d, up, lead + (n,), rounds=L)
+        down = [entity_stream(s, _SERVER, 0) for s in seeds]
+        self._down = _SenderBank(server_spec, self.d, down, lead + (1,), rounds=L)
 
-    def _broadcast(self, vbar: np.ndarray, rounds: int) -> np.ndarray:
-        """Server leg: send e_hat + vbar in ``rounds`` residual rounds, keep what
-        did not arrive in e_hat, and add the broadcast to s_sum."""
-        s, bits = self._down.send((self.e_hat + vbar)[..., None, :], rounds)
+    def _broadcast(self, vbar: np.ndarray) -> np.ndarray:
+        """Server leg: send e_hat + vbar in one L-round transfer, keep what did
+        not arrive in e_hat, and add the broadcast to s_sum."""
+        s, bits = self._down.send((self.e_hat + vbar)[..., None, :])
         s = s[..., 0, :]
         self.e_hat += vbar - s
-        self.bits_down += bits
-        self.msgs_down += rounds
+        self.bits_down += bits[-1]
+        self.msgs_down += self.L
         self.s_sum += s
         return s
 
@@ -132,8 +136,8 @@ class _Engine:
 
     def _learner_mean(self, v: np.ndarray) -> np.ndarray:
         """Mean over the learner axis; ``v.mean(axis=-2)`` gives the same bits
-        through numpy's slower Python wrapper."""
-        return np.add.reduce(v, axis=-2) / self.n
+        through numpy's slower Python wrapper, and so does a keyword axis."""
+        return np.add.reduce(v, -2) / self.n
 
 
 class Dftcl(_Engine):
@@ -168,9 +172,9 @@ class Dftcl(_Engine):
         w_played = self.decision
         v, bits = self._up.send(self.e + grads)
         self.e += grads - v
-        self.bits_up += bits
+        self.bits_up += bits[-1]
         self.msgs_up += self.n
-        s = self._broadcast(self._learner_mean(v), 1)
+        s = self._broadcast(self._learner_mean(v))
         if self.mu is not None:
             self.anchor_sum += w_played
         self._lead(self.mu, float(self.t))
@@ -188,6 +192,10 @@ class Dftfcl(_Engine):
     take the leader step on their sum (strongly convex mode anchors every past
     block decision with weight mu*L).  Blocks 1 and 2 are warm-up: the initial
     decision is replayed and, in block 1, nothing is transmitted.
+
+    Both transfers a block streams are fixed when the block starts, so each is
+    sent whole at that boundary and delivered at the block's end; each round
+    adds the bits and messages of its own compressor call.
     """
 
     def __init__(
@@ -206,29 +214,24 @@ class Dftfcl(_Engine):
         self.block = 1
         self._k = 0  # rounds completed within the current block
         self._z_acc = np.zeros(self.e.shape)
-        self._up_payload = np.zeros(self.e.shape)  # e^{b-1} + z^{b-1} being streamed
-        self._up_r = np.zeros(self.e.shape)
-        self._down_payload = np.zeros(self.e_hat.shape)  # v^{b-2} + e_hat^{b-2} being streamed
-        self._down_r = np.zeros(self.e_hat.shape)
+        # The transfers being streamed: payload, what arrives, bits after j calls.
+        self._up_payload = self._up_sent = self._up_bits = None  # e^{b-1} + z^{b-1}
+        self._down_payload = self._down_sent = self._down_bits = None  # v^{b-2} + e_hat^{b-2}
 
     def round(self, grads: np.ndarray, collect: bool = False) -> RoundInfo:
         """Advance one round; pipeline completions happen on block boundaries."""
         self.t += 1
         self._k += 1
-        w_played = self.decision
+        k, w_played = self._k, self.decision
         self._z_acc += grads
-        if self.block >= 2:
-            payloads, bits = self._up.send(self._up_payload - self._up_r)
-            self._up_r += payloads
-            self.bits_up += bits
+        if self.block >= 2:  # call k of each transfer sent at the boundary
+            self.bits_up += self._up_bits[k] - self._up_bits[k - 1]
             self.msgs_up += self.n
         if self.block >= 3:
-            payload, bits = self._down.send((self._down_payload - self._down_r)[..., None, :])
-            self._down_r += payload[..., 0, :]
-            self.bits_down += bits
+            self.bits_down += self._down_bits[k] - self._down_bits[k - 1]
             self.msgs_down += 1
         v_done = s_done = None
-        if self._k == self.L:
+        if k == self.L:
             v_done, s_done = self._finish_block()
         if not collect:
             v_done = s_done = None
@@ -239,19 +242,20 @@ class Dftfcl(_Engine):
         self.anchor_sum += self.decision
         v_done = s_done = None
         if b >= 2:
-            v_done = self._up_r.copy()
-            self.e = self._up_payload - self._up_r
+            v_done = self._up_sent
+            self.e = self._up_payload - v_done
             vbar = self._learner_mean(v_done)
         if b >= 3:
-            s_done = self._down_r.copy()
-            self.e_hat = self._down_payload - self._down_r
+            s_done = self._down_sent
+            self.e_hat = self._down_payload - s_done
             self.s_sum += s_done
             self._lead(self._mu_block, float(b))
         if b >= 2:
             self._down_payload = vbar + self.e_hat
-            self._down_r = np.zeros(self.e_hat.shape)
+            s, self._down_bits = self._down.send(self._down_payload[..., None, :])
+            self._down_sent = s[..., 0, :]
         self._up_payload = self.e + self._z_acc
-        self._up_r = np.zeros(self.e.shape)
+        self._up_sent, self._up_bits = self._up.send(self._up_payload)
         self._z_acc = np.zeros(self.e.shape)
         self.block += 1
         self._k = 0
@@ -312,11 +316,11 @@ class O2b(_Engine):
         x = self._x_weighted / self._alpha_total
         grads = oracle(x)
         scaled = self.e + alpha * grads
-        v, bits = self._up.send(scaled, self.L)
+        v, bits = self._up.send(scaled)
         self.e = scaled - v
-        self.bits_up += bits
+        self.bits_up += bits[-1]
         self.msgs_up += self.n * self.L
-        self._broadcast(self._learner_mean(v), self.L)
+        self._broadcast(self._learner_mean(v))
         if self.mu is not None:  # linear weights: anchor at the iterates x^k
             self.anchor_sum += alpha * x
         self._lead(self.mu, self._alpha_total)

@@ -3,7 +3,13 @@
 A compressor C is delta-contractive when E||C(x) - x||^2 <= (1 - delta) ||x||^2
 for some delta in (0, 1]; delta = 1 is lossless.  Repeatedly compressing the
 residual for L rounds (``fcc``) drives the squared error down to
-(1 - delta)^L ||x||^2 at the price of L messages.
+(1 - delta)^L ||x||^2 at the price of L messages.  For a masking compressor
+(randk, gossip) the loop has a closed form: the receiver ends up holding
+exactly the coordinates that any of the L calls kept, ``where(m_1 | ... | m_L,
+x, 0.0) + 0.0`` for L >= 2 (the ``+ 0.0`` is the loop's: its later rounds turn
+a kept ``-0.0`` into ``+0.0``).  The engines' sender banks send that way; it
+equals the loop bit for bit on finite inputs, and :func:`fcc` keeps the loop,
+since it returns the L messages.
 
 Bit costs are a declared model, not a wire measurement: reals cost 64 bits,
 transmitted coordinate indices cost ceil(log2 d) bits, a sign costs one bit,
@@ -157,86 +163,110 @@ class _SenderBank:
     ``shape`` lays the senders out as payload rows: ``(n,)`` for the n senders
     of one replication, ``(R, n)`` for R replications advanced in lockstep, with
     ``rngs`` listed replication by replication (default: one row per stream).
-    ``send(X, rounds)`` compresses the row of X, shape ``shape + (d,)``, of each
-    sender with that sender's stream.  Compressor randomness never depends on
-    the data, so the bank draws it for ``chunk`` calls at a time with one block
-    draw per stream: ``random((C, d))`` for randk and ``random(C)`` for gossip
-    return the same numbers as C per-call draws.  Engines draw ``_CHUNK`` calls
-    at a time, and :func:`fcc` (L rounds; :func:`compress` is one) runs a bank
-    of one sender whose chunk is its L calls, so payloads and bits equal those
-    of :func:`compress` and :func:`fcc` on each row with its stream, call after
-    call.
+    ``send(X)`` makes one transfer: the ``rounds``-round residual compression
+    of the row of X, shape ``shape + (d,)``, of each sender with that sender's
+    stream, ``rounds`` compressor calls per sender.
+
+    Compressor randomness never depends on the data, so the bank draws it for
+    ``max(1, chunk // rounds)`` transfers at a time with one block draw per
+    stream: ``random((C, d))`` for randk and ``random(C)`` for gossip return
+    the same numbers as C per-call draws.  Engines draw about ``_CHUNK`` calls
+    at a time, and :func:`fcc` (L one-call transfers; :func:`compress` is one)
+    runs a bank of one sender whose chunk is its L calls, so payloads and bits
+    equal those of :func:`compress` and :func:`fcc` on each row with its
+    stream, call after call.
+
+    A masking compressor (randk, gossip) needs no residual loop.  Each call
+    keeps the residual's coordinates in its mask, and a kept coordinate's
+    residual is zero from then on, so after L rounds the receiver holds
+    exactly the coordinates any of the L calls kept: ``where(m_1 | ... | m_L,
+    X, 0.0) + 0.0`` for L >= 2, the ``+ 0.0`` because the loop's later rounds
+    turn a kept ``-0.0`` into ``+0.0``.  Identity keeps every coordinate (X
+    for one round, ``X + 0.0`` for more).  The bank ORs each transfer's masks
+    once per chunk and sends with one select.  This equals the loop bit for
+    bit for finite inputs: a kept inf turns nan in the loop's later rounds
+    (inf - inf), and stays inf in the closed form.  The scaled sign is not a
+    mask, and keeps the residual loop.
     """
 
     def __init__(
-        self, spec: CompressorSpec, d: int, rngs: list[np.random.Generator], shape: tuple | None = None, chunk: int = _CHUNK
+        self,
+        spec: CompressorSpec,
+        d: int,
+        rngs: list[np.random.Generator],
+        shape: tuple | None = None,
+        rounds: int = 1,
+        chunk: int = _CHUNK,
     ):
         nominal_delta(spec, d)  # validates spec vs dimension
-        self.spec, self.d, self.rngs, self._chunk = spec, d, rngs, chunk
+        self.spec, self.d, self.rngs, self.rounds = spec, d, rngs, rounds
         self._shape = (len(rngs),) if shape is None else shape
         self._gossip, self._sign = isinstance(spec, RandomGossip), isinstance(spec, ScaledSign)
         self._msg_bits = spec.message_bits(d)  # gossip: a delivered message's
-        self._call_bits = self._shape[-1] * self._msg_bits  # one round of one replication's senders
+        call_bits = self._shape[-1] * self._msg_bits  # one call, every message delivered
+        self._spent = tuple(j * call_bits for j in range(rounds + 1))  # a transfer's bits after j calls
         self._draws = self._gossip or (isinstance(spec, RandK) and spec.k < d)
+        self._per_chunk = max(1, chunk // rounds)  # transfers whose randomness one draw takes
         self._keep: np.ndarray | None = None  # drawn on first use, never at construction
         self._uniforms: np.ndarray | None = None  # randk: the chunk's uniforms, (stream, call, coordinate)
-        self._saved = None  # gossip: bits the failed messages of each call save, per replication
-        self._used = chunk  # calls served from the current chunk
-
-    def _next_call(self) -> int:
-        """Index of the next call's draws in the current chunk, drawing a chunk when one is used up."""
-        if self._used == self._chunk:
-            self._draw_chunk()
-            self._used = 0
-        self._used += 1
-        return self._used - 1
+        self._bits = None  # gossip: each transfer's bits after j calls, per replication
+        self._used = self._per_chunk  # transfers served from the current chunk
 
     def _draw_chunk(self) -> None:
-        """Per-call keep-masks for the next chunk, indexed (call, *shape, coordinate)."""
-        spec, lead = self.spec, (self._chunk,) + self._shape
+        """Each transfer's union keep-mask for the next chunk, indexed
+        (transfer, *shape, coordinate), and for gossip its bits after j calls."""
+        spec, calls = self.spec, self._per_chunk * self.rounds
+        by_call = (self._per_chunk, self.rounds) + self._shape
         if self._gossip:
-            U = np.stack([rng.random(self._chunk) for rng in self.rngs], axis=1)
-            keep = (U < spec.p).reshape(lead)
-            # A failed message costs one flag bit, not a full one.
-            saved = (self._shape[-1] - np.count_nonzero(keep, axis=-1)) * (self._msg_bits - 1)
-            self._saved = saved.tolist() if len(self._shape) == 1 else saved
-            self._keep = keep[..., None]
+            U = np.stack([rng.random(calls) for rng in self.rngs], axis=1)
+            keep = (U < spec.p).reshape(by_call)
+            # A delivered message costs its bits, a failed one one flag bit.
+            call_bits = np.add.reduce(keep, -1) * (self._msg_bits - 1) + self._shape[-1]
+            spent = np.zeros((self._per_chunk, self.rounds + 1) + self._shape[:-1], dtype=np.int64)
+            np.cumsum(call_bits, axis=1, out=spent[:, 1:])
+            self._bits = spent.tolist() if len(self._shape) == 1 else spent
+            self._keep = (np.logical_or.reduce(keep, axis=1) if self.rounds > 1 else keep[:, 0])[..., None]
             return
         # The k smallest of d i.i.d. uniforms index a uniform k-subset.  The
         # uniforms go to one buffer, stream by stream: a fresh stack per chunk
         # made glibc hand its heap pages back and fault them in again.
         if self._uniforms is None:
-            self._uniforms = np.empty((len(self.rngs), self._chunk, self.d))
+            self._uniforms = np.empty((len(self.rngs), calls, self.d))
         for rng, block in zip(self.rngs, self._uniforms):
             rng.random(out=block)
         keep = np.argpartition(self._uniforms, spec.k, axis=-1)[..., : spec.k]
         mask = np.zeros(self._uniforms.shape, dtype=bool)
         np.put_along_axis(mask, keep, True, axis=-1)
-        self._keep = mask.transpose(1, 0, 2).reshape(lead + (self.d,))
+        if self.rounds > 1:  # a transfer keeps what any of its calls keeps
+            mask = np.logical_or.reduce(mask.reshape(len(self.rngs), self._per_chunk, self.rounds, self.d), axis=2)
+        self._keep = mask.transpose(1, 0, 2).reshape((self._per_chunk,) + self._shape + (self.d,))
 
-    def send(self, X: np.ndarray, rounds: int = 1):
-        """Row-wise ``rounds``-round residual compression: round 1 compresses X,
-        each later round compresses X - R and adds it to R.  Returns (R, bits),
-        bits being what one replication's senders spent in total: an int, or for
-        gossip in lockstep an int array with one entry per replication, since
-        their failed messages differ."""
-        R, Y, bits = None, X, rounds * self._call_bits
-        while True:
-            if self._draws:
-                i = self._next_call()
-                P = np.where(self._keep[i], Y, 0.0)
-                if self._gossip:
-                    bits -= self._saved[i]
-            elif self._sign:
-                scale = np.abs(Y).sum(axis=-1, keepdims=True) / self.d
-                P = np.where(Y >= 0.0, scale, -scale)
-            else:
-                P = Y.copy()
-            R = P if R is None else R + P
-            if rounds <= 1:
-                return R, bits
-            rounds -= 1
-            Y = X - R
+    def _scaled_sign(self, Y: np.ndarray) -> np.ndarray:
+        scale = np.abs(Y).sum(axis=-1, keepdims=True) / self.d
+        return np.where(Y >= 0.0, scale, -scale)
+
+    def send(self, X: np.ndarray):
+        """One transfer of X.  Returns (R, bits): R the receivers'
+        reconstructions, and ``bits[j]`` what one replication's senders spent
+        on the transfer's first j calls, j = 0..rounds, so ``bits[-1]`` is the
+        transfer's total: an int, or for gossip in lockstep an int array with
+        one entry per replication, since their failed messages differ."""
+        if self._draws:
+            if self._used == self._per_chunk:
+                self._draw_chunk()
+                self._used = 0
+            i = self._used
+            self._used += 1
+            R = np.where(self._keep[i], X, 0.0)
+            if self.rounds > 1:
+                R += 0.0
+            return R, self._bits[i] if self._gossip else self._spent
+        if not self._sign:
+            return (X + 0.0 if self.rounds > 1 else X.copy()), self._spent
+        R = self._scaled_sign(X)
+        for _ in range(self.rounds - 1):
+            R = R + self._scaled_sign(X - R)
+        return R, self._spent
 
 
 def compress(spec: CompressorSpec, x, rng: np.random.Generator) -> CompressedMessage:
@@ -255,8 +285,10 @@ def fcc(
     Starting from r = 0, each round sends C(x - r) and accumulates it into r.
     Returns the final residual sum (the receiver's reconstruction) and the L
     messages.  L = 1 is a single standard compression.  The rounds are L
-    calls of a one-sender bank that draws the randomness of all L, and no
-    more, at once: an (L, d) block, as large as the messages returned.
+    one-call transfers of a one-sender bank that draws the randomness of all
+    L, and no more, at once: an (L, d) block, as large as the messages
+    returned.  This loop is the reference the engines' L-round transfers are
+    tested against.
     """
     if L < 1:
         raise ConfigError("L", f"must be >= 1, got {L}")
@@ -267,7 +299,7 @@ def fcc(
     for _ in range(L):
         payload, bits = bank.send((v - r)[None])
         r = r + payload[0]
-        messages.append(CompressedMessage(payload[0], bits))
+        messages.append(CompressedMessage(payload[0], bits[-1]))
     return r, messages
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -633,9 +633,11 @@ def _monte_carlo_many(configs: list[RunConfig], reps: int, workers: int) -> list
     workers, so one config gets exactly ``monte_carlo``'s split.  The (config,
     batch) tasks go to one pool, the largest T x batch first, or run in
     process at one worker or one task.  They are gathered in config and
-    replication order, so the bytes, and the error raised when tasks fail,
-    do not depend on ``workers``.  In process, each batch is folded into its
-    config's mean as it finishes.
+    replication order, so the bytes, and the error raised when tasks fail
+    (the first failed task's), do not depend on ``workers``.  A pool raises
+    that error once the tasks before it have finished, without waiting for
+    the tasks after it.  In process, each batch is folded into its config's
+    mean as it finishes.
     """
     reps = _require_positive_int("reps", reps)
     workers = _require_positive_int("workers", workers)
@@ -646,14 +648,15 @@ def _monte_carlo_many(configs: list[RunConfig], reps: int, workers: int) -> list
     if workers == 1 or len(tasks) == 1:
         results = (_run_batch(configs[i], batch) for i, batch in tasks)
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+        try:
             largest_first = sorted(range(len(tasks)), key=lambda k: -configs[tasks[k][0]].T * len(tasks[k][1]))
             futures = {k: pool.submit(_run_batch, configs[tasks[k][0]], tasks[k][1]) for k in largest_first}
-            try:
-                results = [futures[k].result() for k in range(len(tasks))]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+            results = _results_in_order([futures[k] for k in range(len(tasks))])
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)  # running tasks finish unobserved
+            raise
+        pool.shutdown()
     # Pooled results are folded once the pool has closed: folding while the
     # pool's result thread was still unpickling batches left the parent's heap
     # larger (online_long benchmark, 24 jobs on 2 vCPUs: median peak RSS
@@ -662,6 +665,23 @@ def _monte_carlo_many(configs: list[RunConfig], reps: int, workers: int) -> list
     for (i, _), traces in zip(tasks, results):
         folds[i].add(traces)
     return [fold.result() for fold in folds]
+
+
+def _results_in_order(futures: list[Future]) -> list:
+    """The futures' results in list order, or the error of the first future
+    that fails.  Once future k has failed, only futures before k are waited
+    for (one of them may fail first) and those after k are cancelled."""
+    index = {f: k for k, f in enumerate(futures)}
+    first, pending = len(futures), set(futures)
+    while pending:
+        done, pending = wait(pending, return_when=FIRST_EXCEPTION)
+        failed = [index[f] for f in done if f.exception() is not None]
+        if failed and min(failed) < first:
+            first = min(failed)
+            for f in futures[first + 1 :]:
+                f.cancel()
+            pending = {f for f in pending if index[f] < first}
+    return [f.result() for f in futures]  # raises the first failure
 
 
 class _MeanFold:

@@ -449,25 +449,33 @@ def test_o2b_bits_count_l_rounds_per_update():
 
 
 class _Recorder:
-    """Wraps a sender bank and keeps every (R, bits, rows, rounds) it sends."""
+    """Wraps a sender bank and keeps every (R, bits, rows) transfer it sends.
 
-    def __init__(self, bank):
-        self.bank, self.sends = bank, []
+    The last ``streaming`` transfers are not delivered yet: Dftfcl sends a
+    transfer at the block boundary where its payload is fixed, and it counts
+    as delivered at the end of the block that streams it."""
 
-    def send(self, X, rounds=1):
-        R, bits = self.bank.send(X, rounds)
-        self.sends.append((R.copy(), bits, X.shape[0], rounds))
+    def __init__(self, bank, streaming=0):
+        self.bank, self.sends, self.streaming = bank, [], streaming
+
+    def send(self, X):
+        R, bits = self.bank.send(X)
+        self.sends.append((R.copy(), bits[-1], X.shape[0]))
         return R, bits
 
-    def total(self, upto=None):
-        """Sum of what the first ``upto`` sends (default: all) delivered, per sender."""
-        return sum((R for R, *_ in self.sends[:upto]), np.zeros((len(self.bank.rngs), self.bank.d)))
+    def delivered(self, held_back=0):
+        """The delivered transfers, less the last ``held_back`` of them."""
+        return self.sends[: max(0, len(self.sends) - self.streaming - held_back)]
+
+    def total(self, held_back=0):
+        """Sum of what the delivered transfers (less ``held_back``) delivered, per sender."""
+        return sum((R for R, *_ in self.delivered(held_back)), np.zeros((len(self.bank.rngs), self.bank.d)))
 
     def bits(self):
-        return sum(b for _, b, _, _ in self.sends)
+        return sum(b for _, b, _ in self.delivered())
 
     def msgs(self):
-        return sum(rows * rounds for _, _, rows, rounds in self.sends)
+        return sum(rows for _, _, rows in self.delivered()) * self.bank.rounds
 
 
 ENGINE_SPECS = [Identity(), RandK(2), ScaledSign(), RandomGossip(0.4)]
@@ -486,8 +494,8 @@ def test_engine_memories_telescope_and_counters_are_exact(algo, spec):
     else:
         eng = O2b(fs, n, spec, L, weights="uniform", eta=0.3, seed=4)
         stub = _StubProblem(grads)
-    up, down = eng._up, eng._down = _Recorder(eng._up), _Recorder(eng._down)
-    up_before_block = 0  # up sends made before the current block started (dftfcl)
+    streaming = 1 if algo == "dftfcl" else 0  # the transfer the next block streams
+    up, down = eng._up, eng._down = _Recorder(eng._up, streaming), _Recorder(eng._down, streaming)
     for t in range(1, steps + 1):
         if algo == "o2b":
             eng.step(stub, np.random.default_rng(0))
@@ -499,8 +507,7 @@ def test_engine_memories_telescope_and_counters_are_exact(algo, spec):
             # At the end of block b the learners have streamed blocks 1..b-1
             # and the server has broadcast what they had streamed by block b-1.
             fed = grads[: t - L].sum(axis=0)
-            consumed = up.total(up_before_block).mean(axis=0)
-            up_before_block = len(up.sends)
+            consumed = up.total(held_back=1).mean(axis=0)
         else:  # every step is one completed transfer (uniform weights: alpha = 1)
             fed = grads[:t].sum(axis=0)
             consumed = up.total().mean(axis=0)

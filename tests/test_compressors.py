@@ -304,7 +304,7 @@ def test_bank_compression_matches_per_call(spec):
     bank = _SenderBank(spec, d, [entity_stream(9, 1, i) for i in range(n)])
     for X in Xs:
         singles = [_apply(spec, X[i], rngs[i]) for i in range(n)]
-        bank_payloads, bank_bits = bank.send(X)
+        bank_payloads, (_, bank_bits) = bank.send(X)
         np.testing.assert_array_equal(np.stack([p for p, _ in singles]), bank_payloads)
         assert sum(b for _, b in singles) == bank_bits
 
@@ -315,14 +315,58 @@ def test_bank_fcc_matches_public_fcc(spec):
     updates = _CHUNK // L + 7  # the L-round loop crosses a chunk boundary
     Xs = np.random.default_rng(1).standard_normal((updates, n, d))
     rngs = [entity_stream(4, 2, i) for i in range(n)]
-    bank = _SenderBank(spec, d, [entity_stream(4, 2, i) for i in range(n)])
+    bank = _SenderBank(spec, d, [entity_stream(4, 2, i) for i in range(n)], rounds=L)
     for X in Xs:
-        R, bits = bank.send(X, L)
+        R, spent = bank.send(X)
+        bits = [b - a for a, b in zip(spent, spent[1:])]  # per call
         for i in range(n):
             r, msgs = fcc(X[i], spec, L, rngs[i])
             np.testing.assert_array_equal(R[i], r)
-            bits -= sum(m.bits for m in msgs)
-        assert bits == 0
+            bits = [b - m.bits for b, m in zip(bits, msgs)]
+        assert bits == [0] * L
+
+
+@st.composite
+def _transfer_case(draw):
+    """A spec, a transfer length, a chunk, a sender layout, and the inputs of
+    more transfers than three chunks hold, with exact 0.0 and -0.0 entries."""
+    spec, d = draw(_spec_and_dim())
+    L = draw(st.integers(1, 8))
+    chunk = draw(st.integers(1, 24))  # calls per draw: small, so refills are cheap to reach
+    shape = draw(st.sampled_from([(1,), (3,), (1, 2), (2, 1), (3, 2)]))
+    transfers = 3 * max(1, chunk // L) + draw(st.integers(1, 2))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = data.standard_normal((transfers,) + shape + (d,))
+    u = data.random(X.shape)
+    X[u < 0.2] = 0.0
+    X[u > 0.8] = -0.0
+    return spec, L, chunk, shape, X
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_transfer_case(), seed=st.integers(0, 2**32 - 1))
+def test_bank_transfer_is_per_row_fcc_bit_for_bit(case, seed):
+    # The bank's closed-form transfer against the public residual loop, one
+    # row at a time with the row's stream.  fcc's reconstruction starts from a
+    # zero vector, so at L = 1 it is its message plus 0.0, while a one-call
+    # transfer is the message itself.
+    spec, L, chunk, shape, Xs = case
+    rows = list(np.ndindex(shape))
+    bank = _SenderBank(spec, Xs.shape[-1], [entity_stream(seed, *row) for row in rows], shape, L, chunk)
+    twins = {row: entity_stream(seed, *row) for row in rows}
+    for X in Xs:
+        R, bits = bank.send(X)
+        spent = np.zeros((L,) + shape[:-1], dtype=np.int64)  # fcc's bits per call, per replication
+        for row in rows:
+            r, msgs = fcc(X[row], spec, L, twins[row])
+            ref = r if L > 1 else msgs[0].payload
+            np.testing.assert_array_equal(R[row].view(np.uint64), ref.view(np.uint64))
+            for j, m in enumerate(msgs):
+                spent[(j,) + row[:-1]] += m.bits
+        assert len(bits) == L + 1 and np.all(np.asarray(bits[0]) == 0)
+        calls = np.diff(np.asarray(bits), axis=0)  # the bank's bits per call
+        for j in range(L):
+            np.testing.assert_array_equal(np.broadcast_to(calls[j], shape[:-1]), spent[j])
 
 
 @st.composite

@@ -400,6 +400,23 @@ def test_monte_carlo_rejects_non_finite_decisions(monkeypatch, workers):
     assert err.value.field == "decision"
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_monte_carlo_many_raises_the_first_failed_configs_error(monkeypatch, workers):
+    # Configs 0 and 2 fail in their first chunk.  The pool runs the largest
+    # tasks first, so at two workers config 0 starts only once config 2 has
+    # failed; config 0's error is still the one raised, as it is in process.
+    failing = _nan_gradients(monkeypatch)
+    configs = [
+        replace(failing, T=64, seed=5),
+        RunConfig(env="convex_lower", T=4096, n=2, d=3, seed=6),
+        replace(failing, T=600, seed=7),
+    ]
+    first_seed = derive_seed(5, harness._REP, 0)
+    with pytest.raises(ConfigError, match=rf"not finite from round 38 on \(seed {first_seed}\)$") as err:
+        harness._monte_carlo_many(configs, reps=2, workers=workers)
+    assert err.value.field == "decision"
+
+
 def test_o2b_rejects_non_finite_gradients(monkeypatch):
     class NanFrom5(LadProblem):
         """The lad problem, but every sample picked from update 5 on is NaN."""
