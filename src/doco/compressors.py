@@ -154,7 +154,7 @@ def nominal_delta(spec: CompressorSpec, d: int) -> float:
     return spec.delta(d)
 
 
-_CHUNK = 256  # compressor calls whose randomness an engine's sender bank draws at once
+_CHUNK = 256  # compressor calls whose randomness an engine's sender bank draws at once, in whole transfers
 
 
 class _SenderBank:
