@@ -1,7 +1,13 @@
-"""A projected-subgradient solver: an oracle for the closed-form hindsight decisions.
+"""Independent oracles for closed forms in the package.
 
-It knows a loss only through value and subgradient calls, so it shares no
-arithmetic with ``doco.domains.best_in_hindsight``.
+``minimize_convex`` is a projected-subgradient solver for the closed-form
+hindsight decisions.  It knows a loss only through value and subgradient
+calls, so it shares no arithmetic with ``doco.domains.best_in_hindsight``.
+
+``lad_regularized_optimum`` is a per-coordinate candidate search for the
+ridge-regularized least-absolute-deviation optimum.  It scores every point
+where the minimizer can sit, so it shares no arithmetic with the median
+formula ``doco.environments.LadProblem`` uses.
 """
 
 from __future__ import annotations
@@ -56,3 +62,36 @@ def minimize_convex(
                 break
             last_best = best_v
     return best_x, best_v
+
+
+def lad_regularized_optimum(shards, lo, hi, mu: float) -> tuple[np.ndarray, float]:
+    """Minimizer x and value f over the box [lo, hi] of
+    mean_j ||x - a_j||_1 + (mu/2)||x - c||^2, for the points a_j of the
+    (n, samples, d) ``shards``, mu > 0 and c the box midpoint.
+
+    The search runs one coordinate at a time.  In each coordinate the objective's derivative is piecewise linear and
+    increasing, so the minimizer is a stationary point inside one of the
+    sorted-data gaps, a data point, or a box edge.  Every such candidate is
+    scored, 256 at a time, and the first of the lowest is returned.
+    """
+    a = shards.reshape(-1, shards.shape[-1])
+    N, d = a.shape
+    center = (lo + hi) / 2.0
+    x = np.empty(d)
+    for j in range(d):
+        vals, c, lo_j, hi_j = np.sort(a[:, j]), float(center[j]), float(lo[j]), float(hi[j])
+        candidates = [lo_j, hi_j]
+        candidates.extend(float(v) for v in vals)
+        for k in range(N + 1):
+            z = c - (2.0 * k - N) / (N * mu)
+            left = vals[k - 1] if k > 0 else -np.inf
+            right = vals[k] if k < N else np.inf
+            if left <= z <= right:
+                candidates.append(float(z))
+        cand = np.clip(np.array(candidates), lo_j, hi_j)
+        phi = np.empty(cand.shape[0])
+        for start in range(0, cand.shape[0], 256):
+            rows = cand[start : start + 256]
+            phi[start : start + 256] = np.abs(rows[:, None] - vals[None, :]).mean(axis=1) + 0.5 * mu * (rows - c) ** 2
+        x[j] = cand[int(np.argmin(phi))]
+    return x, float(np.abs(x - shards).sum(axis=2).mean()) + 0.5 * mu * float(((x - center) ** 2).sum())

@@ -16,7 +16,7 @@ from doco.environments import (
     make_sc_lower_bound_env,
     make_sc_quadratic_adversary,
 )
-from oracles import BlackBoxLoss, minimize_convex
+from oracles import BlackBoxLoss, lad_regularized_optimum, minimize_convex
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +384,29 @@ def test_lad_regularized_optimum_random_instances():
             probe[:, j] = grid
             vals = problem.value_path(probe)
             assert f_star <= vals.min() + 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    samples=st.integers(1, 40),
+    d=st.integers(1, 6),
+    mu=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]), st.floats(1e-3, 1e2)),
+    quarters=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lad_regularized_optimum_matches_the_candidate_search(n, samples, d, mu, quarters, seed):
+    # A mu in {2^-2, ..., 2^3} puts the breakpoints c - (2k - N)/(N mu) on the
+    # quarter grid, so quarter-grid data ties with them; the boxes make the clip bind.
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(0.0, 1.0, size=(n, samples, d))
+    if quarters:
+        data = np.round(data * 4.0) / 4.0
+    box = Box(rng.choice([0.0, -0.25], size=d), rng.choice([0.5, 0.75, 1.0], size=d))
+    x, f = LadProblem.from_data(data, box, mu=mu).optimum()
+    x_ref, f_ref = lad_regularized_optimum(data, box.lo, box.hi, mu)
+    assert x.tobytes() == x_ref.tobytes()
+    assert np.float64(f).tobytes() == np.float64(f_ref).tobytes()
 
 
 def test_lad_regularized_optimum_memory_is_linear_in_the_data():
