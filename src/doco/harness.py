@@ -211,8 +211,10 @@ def _resolve(cfg: RunConfig) -> _Plan:
     if cfg.weights != "uniform" and cfg.algo != "o2b":
         raise ConfigError("weights", "only the o2b driver takes a weighting scheme")
     for name, value in (("G", cfg.G), ("D", cfg.D), ("eta", cfg.eta), ("mu", cfg.mu)):
-        if value is not None and not value > 0:
-            raise ConfigError(name, f"must be positive, got {value}")
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(name, f"must be positive and finite, got {value}")
+    if not 0.0 <= cfg.env_p <= 1.0:
+        raise ConfigError("env_p", f"must be in [0, 1], got {cfg.env_p}")
 
     user_set = cfg.feasible
     if isinstance(user_set, str):
@@ -792,10 +794,9 @@ class VerifyReport:
         return all(r.ok for r in self.rows)
 
 
-def verify_fcc_contraction(
-    seed: int = 0, trials: int = 5000, d: int = 64, spec: CompressorSpec | None = None
-) -> VerifyReport:
-    """Measured L-round residual error vs the (1 - delta)^L decay (default RandK d=64 k=8)."""
+def verify_fcc_contraction(seed: int = 0, trials: int = 5000, spec: CompressorSpec | None = None) -> VerifyReport:
+    """Measured L-round residual error vs the (1 - delta)^L decay at d=64 (default RandK k=8)."""
+    d = 64
     spec = RandK(8) if spec is None else spec
     delta = nominal_delta(spec, d)
     rng = entity_stream(seed, _ENV)
@@ -868,12 +869,10 @@ def verify_dftcl_errors(
     return _energy_report(RunConfig("dftcl", "linear", 2000, 8, 16, spec, seed=seed), seeds)
 
 
-def verify_dftfcl_errors(
-    seed: int = 0, seeds: int = 50, spec: CompressorSpec | None = None, L: int | None = None
-) -> VerifyReport:
+def verify_dftfcl_errors(seed: int = 0, seeds: int = 50, spec: CompressorSpec | None = None) -> VerifyReport:
     """Block-algorithm error energies vs the residual-compression caps (L = ceil(1/delta))."""
     spec = "randk:4" if spec is None else spec
-    return _energy_report(RunConfig("dftfcl", "linear", 2000, 8, 16, spec, L=L, seed=seed), seeds)
+    return _energy_report(RunConfig("dftfcl", "linear", 2000, 8, 16, spec, seed=seed), seeds)
 
 
 def verify_o2b_errors(seed: int = 0, seeds: int = 20) -> VerifyReport:

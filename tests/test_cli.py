@@ -82,6 +82,25 @@ def test_env_p_outside_sc_lower_exits_two(env, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags,key",
+    [
+        (["--algo", "o2b", "--env", "lad", "--L", "2", "--mu", "inf"], "mu"),
+        (["--G", "inf"], "G"),
+        (["--eta", "inf"], "eta"),
+        (["--eta", "nan"], "eta"),
+        (["--env", "convex_lower", "--D", "inf"], "D"),
+        (["--env", "sc_lower", "--mu", "1", "--env-p", "2"], "env_p"),
+        (["--env", "sc_lower", "--mu", "1", "--env-p", "nan"], "env_p"),
+    ],
+)
+def test_non_finite_scale_or_bad_env_p_names_its_key(flags, key, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--T", "64", "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error - {key}: ")
+    assert not out.exists()
+
+
 def test_run_same_seed_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["run", "--T", "64", "--n", "3", "--d", "8", "--compressor", "randk:2", "--seed", "7"]

@@ -410,9 +410,9 @@ def test_lad_regularized_optimum_matches_the_candidate_search(n, samples, d, mu,
 
 
 def test_lad_regularized_optimum_memory_is_linear_in_the_data():
-    # N = n * samples = 4000 points in one coordinate.  A candidates x data
-    # matrix would be ~4000 x 4000 float64s, 128 MB per temporary; the
-    # candidates are scored 256 rows at a time instead (measured: 15.8 MB).
+    # N = n * samples = 4000 points in one coordinate.  Scoring candidates
+    # against the data at once would hold ~4000 x 4000 float64s, 128 MB per
+    # temporary; the median of the 2N + 1 points holds O(N) (measured: 1.3 MB).
     data = np.random.default_rng(0).uniform(0, 1, size=(2, 2000, 1))
     tracemalloc.start()
     try:
@@ -421,6 +421,21 @@ def test_lad_regularized_optimum_memory_is_linear_in_the_data():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_lad_value_path_memory_is_bounded_in_the_data():
+    # N = n * samples = 4000 points in d = 8 against K = 1024 iterates.  Blocks
+    # of 256 iterates would hold 256 x 4000 x 8 float64s, 62.5 MB per temporary;
+    # blocks sized to ~2^18 elements hold 8 iterates (measured: 3.9 MB).
+    problem = make_lad_problem(4, 8, 1000, Box(np.zeros(8), np.ones(8)), seed=0, mu=0.5)
+    X = np.random.default_rng(1).uniform(0, 1, size=(1024, 8))
+    tracemalloc.start()
+    try:
+        problem.value_path(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_lad_value_path_matches_value():
