@@ -69,10 +69,11 @@ def lad_regularized_optimum(shards, lo, hi, mu: float) -> tuple[np.ndarray, floa
     mean_j ||x - a_j||_1 + (mu/2)||x - c||^2, for the points a_j of the
     (n, samples, d) ``shards``, mu > 0 and c the box midpoint.
 
-    The search runs one coordinate at a time.  In each coordinate the objective's derivative is piecewise linear and
-    increasing, so the minimizer is a stationary point inside one of the
-    sorted-data gaps, a data point, or a box edge.  Every such candidate is
-    scored, 256 at a time, and the first of the lowest is returned.
+    The search runs one coordinate at a time.  In each coordinate the
+    objective's derivative is piecewise linear and increasing, so the
+    minimizer is a stationary point inside one of the sorted-data gaps, a
+    data point, or a box edge.  Every such candidate is scored, 256 at a
+    time, and the first of the lowest is returned.
     """
     a = shards.reshape(-1, shards.shape[-1])
     N, d = a.shape
