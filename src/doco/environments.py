@@ -436,8 +436,8 @@ class LadProblem:
             raise ConfigError("set", "least-absolute-deviation data needs a box domain")
         if feasible.d != d:
             raise ConfigError("set", f"dimension mismatch: box is {feasible.d}-d, expected {d}")
-        if mu < 0:
-            raise ConfigError("mu", f"must be >= 0, got {mu}")
+        if not 0 <= mu < math.inf:
+            raise ConfigError("mu", f"must be >= 0 and finite, got {mu}")
 
     def _set_data(self, a: np.ndarray, feasible: Box, mu: float) -> None:
         """Hold the shards ``a``, shape (n, samples, d), and solve for the exact optimum."""

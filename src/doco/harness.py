@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -75,7 +75,7 @@ class _EnvKind:
     module at each call, so a builder wrapped there (the benchmark's tracer
     wraps some) is the one called.  ``args`` names its positional arguments
     among the values ``_resolve`` works out.  A config value an environment
-    is not given is rejected (mu, env_p) or derived by it (G).
+    is not given is rejected (mu, env_p, samples) or derived by it (G).
     """
 
     factory: str
@@ -195,13 +195,13 @@ def _resolve(cfg: RunConfig) -> _Plan:
     T = _require_positive_int("T", cfg.T)
     n = _require_positive_int("n", cfg.n)
     d = _require_positive_int("d", cfg.d)
-    if cfg.seed < 0:
-        raise ConfigError("seed", f"must be >= 0, got {cfg.seed}")
+    _require_positive_int("seed", cfg.seed, minimum=0)
     _require_positive_int("reps", cfg.reps)
     _require_positive_int("workers", cfg.workers)
     kind = _ENVS[cfg.env]
-    if cfg.env_p != RunConfig.env_p and "env_p" not in kind.args:
-        raise ConfigError("env_p", f"only the sc_lower environment takes a Bernoulli parameter, got {cfg.env_p}")
+    for name in ("env_p", "samples"):
+        if getattr(cfg, name) != getattr(RunConfig, name) and name not in kind.args:
+            raise ConfigError(name, f"the {cfg.env} environment does not take it, got {getattr(cfg, name)}")
     spec = parse_compressor(cfg.compressor) if isinstance(cfg.compressor, str) else cfg.compressor
     delta = nominal_delta(spec, d)
     if cfg.unidirectional and cfg.algo != "dftcl":
@@ -637,9 +637,10 @@ def _monte_carlo_many(configs: list[RunConfig], reps: int, workers: int) -> list
     process at one worker or one task.  They are gathered in config and
     replication order, so the bytes, and the error raised when tasks fail
     (the first failed task's), do not depend on ``workers``.  A pool raises
-    that error once the tasks before it have finished, without waiting for
-    the tasks after it.  In process, each batch is folded into its config's
-    mean as it finishes.
+    that error once the tasks before it have finished and cancels the tasks
+    it has not yet taken; the up to workers + 1 it has taken run to the end,
+    unobserved, and the process waits for them at exit.  In process, each
+    batch is folded into its config's mean as it finishes.
     """
     reps = _require_positive_int("reps", reps)
     workers = _require_positive_int("workers", workers)
@@ -654,7 +655,7 @@ def _monte_carlo_many(configs: list[RunConfig], reps: int, workers: int) -> list
         try:
             largest_first = sorted(range(len(tasks)), key=lambda k: -configs[tasks[k][0]].T * len(tasks[k][1]))
             futures = {k: pool.submit(_run_batch, configs[tasks[k][0]], tasks[k][1]) for k in largest_first}
-            results = _results_in_order([futures[k] for k in range(len(tasks))])
+            results = [futures[k].result() for k in range(len(tasks))]
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)  # running tasks finish unobserved
             raise
@@ -667,23 +668,6 @@ def _monte_carlo_many(configs: list[RunConfig], reps: int, workers: int) -> list
     for (i, _), traces in zip(tasks, results):
         folds[i].add(traces)
     return [fold.result() for fold in folds]
-
-
-def _results_in_order(futures: list[Future]) -> list:
-    """The futures' results in list order, or the error of the first future
-    that fails.  Once future k has failed, only futures before k are waited
-    for (one of them may fail first) and those after k are cancelled."""
-    index = {f: k for k, f in enumerate(futures)}
-    first, pending = len(futures), set(futures)
-    while pending:
-        done, pending = wait(pending, return_when=FIRST_EXCEPTION)
-        failed = [index[f] for f in done if f.exception() is not None]
-        if failed and min(failed) < first:
-            first = min(failed)
-            for f in futures[first + 1 :]:
-                f.cancel()
-            pending = {f for f in pending if index[f] < first}
-    return [f.result() for f in futures]  # raises the first failure
 
 
 class _MeanFold:
@@ -727,8 +711,6 @@ def _batches(seed: int, reps: int, workers: int) -> list[tuple]:
     """The seeds of replications 0..reps-1, hash(seed, r), split into contiguous
     batches of near-equal size, at least one per worker and at most ``_BATCH``
     replications each."""
-    if seed < 0:
-        raise ConfigError("seed", f"must be >= 0, got {seed}")
     seeds = [derive_seed(seed, _REP, r) for r in range(reps)]
     nb = min(reps, max(workers, math.ceil(reps / _BATCH)))
     return [tuple(seeds[i * reps // nb : (i + 1) * reps // nb]) for i in range(nb)]
@@ -796,6 +778,7 @@ class VerifyReport:
 
 def verify_fcc_contraction(seed: int = 0, trials: int = 5000, spec: CompressorSpec | None = None) -> VerifyReport:
     """Measured L-round residual error vs the (1 - delta)^L decay at d=64 (default RandK k=8)."""
+    _require_positive_int("seed", seed, minimum=0)
     d = 64
     spec = RandK(8) if spec is None else spec
     delta = nominal_delta(spec, d)
@@ -814,16 +797,14 @@ def _error_energies(config: RunConfig, reps: int):
     server memory after every round (o2b: update) the run driver plays, over
     the replications of ``monte_carlo(config, reps)`` in the same lockstep
     batches.  The driver does not step a blocked run's tail rounds past its
-    last full block, which change neither memory.  Returns the last batch's
-    first plan with the two energy paths.
+    last full block, which change neither memory.  Returns the config's plan
+    with the two energy paths.
     """
     reps = _require_positive_int("seeds", reps)
+    plan = _resolve(config)
     paths = []  # per replication: the (2, steps) energies after each step
-    plan = None
 
     def probe(plans, eng, step, steps):
-        nonlocal plan
-        plan = plans[0]
         energies = np.empty((len(plans), 2, steps))
         paths.extend(energies)
 

@@ -41,7 +41,9 @@ def test_run_missing_horizon_names_key(tmp_path, capsys):
     assert "T" in err and "required" in err
 
 
-@pytest.mark.parametrize("command", [["run", "--T", "100", "--out", "x.csv"], ["verify", "o2b_errors"]])
+@pytest.mark.parametrize(
+    "command", [["run", "--T", "100", "--out", "x.csv"], ["verify", "o2b_errors"], ["verify", "fcc_contraction"]]
+)
 def test_negative_seed_exits_two(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(command + ["--seed", "-1"]) == 2

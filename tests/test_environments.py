@@ -281,6 +281,17 @@ def test_lad_from_data_builds_from_the_given_shards_only(monkeypatch):
         LadProblem.from_data(data, Box(np.zeros(3), np.ones(3)))
 
 
+@pytest.mark.parametrize("mu", [-0.5, math.nan, math.inf])
+def test_lad_rejects_a_negative_or_non_finite_mu(mu):
+    # A NaN mu fails every mu > 0 test, so it would build an unregularized
+    # problem with G = nan; an infinite one gives f* = nan.
+    box = Box(np.zeros(2), np.ones(2))
+    with pytest.raises(ConfigError, match="^mu"):
+        LadProblem(3, 2, 5, box, seed=0, mu=mu)
+    with pytest.raises(ConfigError, match="^mu"):
+        LadProblem.from_data(np.full((3, 5, 2), 0.5), box, mu=mu)
+
+
 def test_lad_subgradient_above_all_data():
     problem = make_lad_problem(2, 4, 8, Box(np.zeros(4), np.ones(4)), seed=0)
     x = 2.0 * np.ones(4)  # outside the data range; sign is +1 everywhere

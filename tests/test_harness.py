@@ -1,9 +1,12 @@
 import math
+import time
 import tracemalloc
+from concurrent.futures import wait
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import doco.harness as harness
 from doco.compressors import Identity, RandK, derive_seed
@@ -55,6 +58,10 @@ def test_missing_horizon_names_the_field():
         (dict(T=100, env="convex_lower", feasible="ball:1"), "set"),
         (dict(T=100, compressor=42), "compressor"),
         (dict(T=100, compressor=object()), "compressor"),
+        (dict(T=100, seed=1.5), "seed"),
+        (dict(T=100, seed=True), "seed"),
+        (dict(T=100, samples=5), "samples"),
+        (dict(T=100, env="convex_lower", samples=5), "samples"),
     ],
 )
 def test_config_errors_name_offending_field(bad, field):
@@ -346,6 +353,34 @@ def test_monte_carlo_one_row_trace_bytes_equal_mean_of_single_runs(tmp_path):
     assert mean.read_bytes() == ref.read_bytes()
 
 
+@st.composite
+def _lockstep_case(draw):
+    """A config any algorithm and environment resolve, its T a multiple of
+    neither the 256-round chunk nor the block size L, and R replication seeds."""
+    algo = draw(st.sampled_from(harness.ALGOS))
+    env = "lad" if algo == "o2b" else draw(st.sampled_from(["linear", "sc_quadratic", "convex_lower", "sc_lower"]))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    compressor = draw(st.sampled_from(["identity", "sign", f"randk:{draw(st.integers(1, d))}", "gossip:0.5"]))
+    L = None if algo == "dftcl" else draw(st.integers(2, 4))
+    T = draw(st.integers(100, 600).filter(lambda T: T % 256 and T % (L or 256)))
+    mu = 0.5 if env in ("sc_quadratic", "sc_lower") else None
+    seeds = tuple(draw(st.lists(st.integers(0, 2**32), min_size=2, max_size=4, unique=True)))
+    return RunConfig(algo, env, T, n, d, compressor, L=L, mu=mu), seeds
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_lockstep_case())
+def test_lockstep_batch_traces_equal_single_runs(case, tmp_path_factory):
+    cfg, seeds = case
+    batch, single = tmp_path_factory.getbasetemp() / "batch.csv", tmp_path_factory.getbasetemp() / "single.csv"
+    for seed, trace in zip(seeds, harness._run_batch(cfg, seeds), strict=True):
+        ref = run(replace(cfg, seed=seed))
+        trace.to_csv(batch)
+        ref.to_csv(single)
+        assert batch.read_bytes() == single.read_bytes()
+        assert trace.comparator_point.tobytes() == ref.comparator_point.tobytes()
+
+
 @pytest.mark.parametrize("S", [1, 5])
 def test_mean_fold_sums_integer_bit_columns_exactly(S):
     # The bit columns are int64 and are carried as integer sums; the means
@@ -415,6 +450,46 @@ def test_monte_carlo_many_raises_the_first_failed_configs_error(monkeypatch, wor
     with pytest.raises(ConfigError, match=rf"not finite from round 38 on \(seed {first_seed}\)$") as err:
         harness._monte_carlo_many(configs, reps=2, workers=workers)
     assert err.value.field == "decision"
+
+
+class _SlowToTheEnd(LinearAdversary):
+    """The linear adversary, but every chunk takes 0.1 s to load, and loading
+    the last one touches ``marker``."""
+
+    marker = None
+
+    def _load(self, a, b):
+        time.sleep(0.1)
+        if b == self.T:
+            self.marker.touch()
+        super()._load(a, b)
+
+
+def test_pooled_failure_is_raised_before_later_tasks_finish(monkeypatch, tmp_path):
+    # The failing config has the larger T, so it is submitted first, and it
+    # fails in its first chunk; the other loads its last chunk after 0.3 s.
+    # The error must not wait for it.
+    failing, ok = RunConfig(T=2048, n=2, d=3, seed=1), RunConfig(T=1024, n=2, d=3, seed=2)
+    marker = tmp_path / "last_chunk"
+    monkeypatch.setattr(_SlowToTheEnd, "marker", marker)
+    monkeypatch.setattr(
+        harness.envs, "make_linear_adversary", lambda *args: (_NanFrom37 if args[2] == failing.T else _SlowToTheEnd)(*args)
+    )
+    futures = []
+
+    class Recording(harness.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    with pytest.raises(ConfigError, match=r"not finite from round 38 on") as err:
+        harness._monte_carlo_many([failing, ok], reps=1, workers=2)
+    assert err.value.field == "decision"
+    assert not marker.exists()
+    # The running task finishes here, not during a later test.
+    assert not wait(futures, timeout=30).not_done
+    assert marker.exists()
 
 
 def test_o2b_rejects_non_finite_gradients(monkeypatch):
