@@ -51,11 +51,12 @@ _LEARNER, _SERVER = 1, 2
 
 
 class RoundInfo(NamedTuple):
-    """One round's outcome; message payloads are filled only when collected."""
+    """The decision played and the messages sent, which the engine keeps no
+    reference to (Dftfcl's: the transfers completed at a block's end, else None)."""
 
     w_played: np.ndarray
-    v: np.ndarray | None = None
-    s: np.ndarray | None = None
+    v: np.ndarray | None
+    s: np.ndarray | None
 
 
 class UpdateInfo(NamedTuple):
@@ -166,7 +167,7 @@ class Dftcl(_Engine):
     ):
         super().__init__(feasible, n, spec, Identity() if unidirectional else spec, 1, eta, mu, seed)
 
-    def round(self, grads: np.ndarray, collect: bool = False) -> RoundInfo:
+    def round(self, grads: np.ndarray) -> RoundInfo:
         """Advance one round given the (n, d) per-learner gradients at the played decision."""
         self.t += 1
         w_played = self.decision
@@ -178,7 +179,7 @@ class Dftcl(_Engine):
         if self.mu is not None:
             self.anchor_sum += w_played
         self._lead(self.mu, float(self.t))
-        return RoundInfo(w_played, v if collect else None, s.copy() if collect else None)
+        return RoundInfo(w_played, v, s)
 
 
 class Dftfcl(_Engine):
@@ -218,7 +219,7 @@ class Dftfcl(_Engine):
         self._up_payload = self._up_sent = self._up_bits = None  # e^{b-1} + z^{b-1}
         self._down_payload = self._down_sent = self._down_bits = None  # v^{b-2} + e_hat^{b-2}
 
-    def round(self, grads: np.ndarray, collect: bool = False) -> RoundInfo:
+    def round(self, grads: np.ndarray) -> RoundInfo:
         """Advance one round; pipeline completions happen on block boundaries."""
         self.t += 1
         self._k += 1
@@ -230,12 +231,9 @@ class Dftfcl(_Engine):
         if self.block >= 3:
             self.bits_down += self._down_bits[k] - self._down_bits[k - 1]
             self.msgs_down += 1
-        v_done = s_done = None
         if k == self.L:
-            v_done, s_done = self._finish_block()
-        if not collect:
-            v_done = s_done = None
-        return RoundInfo(w_played, v_done, s_done)
+            return RoundInfo(w_played, *self._finish_block())
+        return RoundInfo(w_played, None, None)
 
     def _finish_block(self):
         b = self.block

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import types
 import typing
@@ -86,21 +87,30 @@ def _convert(key: str, raw: str):
         raise ConfigError(key, f"cannot parse value {raw!r}") from exc
 
 
+def _read_lines(key: str, path: str) -> list[str]:
+    """The lines of the text file at ``path``, given as ``key``; a file that
+    cannot be read (or is not text) is a configuration error naming ``key``."""
+    try:
+        with open(path) as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(key, f"cannot read {path!r}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def parse_config_file(path: str) -> dict:
     """Plain-text ``key = value`` configuration; unknown keys are rejected."""
     values: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError("config", f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in _KNOWN_KEYS:
-                raise ConfigError(key, f"unknown configuration key ({path}:{lineno})")
-            values[key] = _convert(key, raw.strip())
+    for lineno, line in enumerate(_read_lines("config", path), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError("config", f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(key, f"unknown configuration key ({path}:{lineno})")
+        values[key] = _convert(key, raw.strip())
     return values
 
 
@@ -145,11 +155,20 @@ def _gather(args: argparse.Namespace) -> dict:
     return values
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    values = _gather(args)
+def _pop_out(values: dict, what: str) -> str:
+    """The ``out`` path, taken from ``values``: a file path in a directory that
+    exists, checked before any round runs."""
     out = values.pop("out", None)
     if out is None:
-        raise ConfigError("out", "required: path for the CSV trace")
+        raise ConfigError("out", f"required: path for the {what}")
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError("out", f"not a file path in an existing directory: {out!r}")
+    return out
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    values = _gather(args)
+    out = _pop_out(values, "CSV trace")
     config = _config_from_values(values)
     # Replications (even a single one) run at hash-derived seeds, so run and
     # sweep rows agree point for point under the same configuration.
@@ -167,9 +186,7 @@ def _fit(xs: list, finals: list) -> tuple[float, float]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     values = _gather(args)
-    out = values.pop("out", None)
-    if out is None:
-        raise ConfigError("out", "required: path for the sweep CSV")
+    out = _pop_out(values, "sweep CSV")
     T_grid = values.pop("T_grid", None) or ([values["T"]] if values.get("T") else None)
     if not T_grid:
         raise ConfigError("T_grid", "required: list of horizons (or a single T)")
@@ -224,7 +241,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.csv:
         if not (args.x and args.y):
             raise ConfigError("fit", "--csv needs --x and --y column names")
-        data = np.genfromtxt(args.csv, delimiter=",", names=True)
+        data = np.genfromtxt(_read_lines("csv", args.csv), delimiter=",", names=True)
+        for key in ("x", "y"):
+            if getattr(args, key) not in (data.dtype.names or ()):
+                raise ConfigError(key, f"no column {getattr(args, key)!r} in {args.csv!r}")
         xs = np.atleast_1d(data[args.x])
         ys = np.atleast_1d(data[args.y])
     elif args.xs and args.ys:

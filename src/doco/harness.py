@@ -6,9 +6,9 @@ given seed and returns a :class:`RegretTrace`; :func:`monte_carlo` averages
 replications over hash-derived seeds, advancing them in lockstep batches that
 produce the same bytes as one run per seed; :func:`fit_rate` extracts log-log slope
 and fit quality for scaling studies.  The ``verify_*`` drivers measure the
-compression-loop contraction, and the error-memory energies of a fixed
-:class:`RunConfig` over the replications ``monte_carlo`` makes of it, against
-their closed-form caps and report pass/fail with margins.
+compression-loop contraction, and the error-memory energies of each fixed
+:class:`RunConfig` of one table over the replications ``monte_carlo`` makes
+of it, against their closed-form caps and report pass/fail with margins.
 
 Step-size defaults are the worst-case-tuned values: delta*D/(G sqrt(T)) for
 the bidirectionally compressed per-round algorithm (sqrt(delta)*D/(G sqrt(T))
@@ -460,7 +460,7 @@ def _run_online(plans: list[_Plan], keep_decisions: bool, probe=None) -> list[Re
     def step(t: int):  # the loop below binds ``table``: the chunk's rows, from round a + 1 on
         return eng.round(gradient(table[t - 1 - a], eng.decision))
 
-    engine_rounds = T if plan.cfg.algo == "dftcl" else (T // plan.L) * plan.L
+    engine_rounds = (T // eng.L) * eng.L
     if probe is not None:
         step = probe(plans, eng, step, engine_rounds)
     rounds = _sample_rounds(T)
@@ -736,6 +736,8 @@ def fit_rate(xs, ys) -> tuple[float, float]:
         raise ValueError("xs and ys must be 1-D and the same length")
     if x.shape[0] < 3:
         raise ValueError(f"need at least 3 points, got {x.shape[0]}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("xs and ys must be finite")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("log-log fit needs strictly positive xs and ys")
     lx, ly = np.log(x), np.log(y)
@@ -792,15 +794,31 @@ def verify_fcc_contraction(seed: int = 0, trials: int = 5000, spec: CompressorSp
     return VerifyReport("fcc_contraction", tuple(rows))
 
 
-def _error_energies(config: RunConfig, reps: int):
-    """Replication-mean squared norms of the mean learner memory and of the
-    server memory after every round (o2b: update) the run driver plays, over
-    the replications of ``monte_carlo(config, reps)`` in the same lockstep
-    batches.  The driver does not step a blocked run's tail rounds past its
-    last full block, which change neither memory.  Returns the config's plan
-    with the two energy paths.
-    """
-    reps = _require_positive_int("seeds", reps)
+# The error-energy checks: id -> (the fixed configuration whose replications
+# are measured, default replication count).
+_ENERGY_CHECKS = {
+    "dftcl_errors": (RunConfig("dftcl", "linear", 2000, 8, 16, "randk:4"), 50),
+    "dftfcl_errors": (RunConfig("dftfcl", "linear", 2000, 8, 16, "randk:4"), 50),
+    "o2b_errors": (RunConfig("o2b", "lad", 1024, 4, 8, "randk:2", L=4), 20),
+}
+VERIFY_IDS = ("fcc_contraction", *_ENERGY_CHECKS)
+
+
+def verify_errors(lemma_id: str, seed: int = 0, seeds: int | None = None, spec: CompressorSpec | None = None) -> VerifyReport:
+    """The ``_ENERGY_CHECKS`` row ``lemma_id`` at ``seed``, ``spec`` its compressor
+    if given: the replication-mean squared norms of the mean learner memory and
+    of the server memory after every round (o2b: update) the run driver plays,
+    over the replications of ``monte_carlo(config, seeds)`` in its lockstep
+    batches, each peak against its closed-form cap.  The driver does not step a
+    blocked run's tail rounds past its last full block, which change neither
+    memory.  The residual-compression caps grow with the norm cap g of one
+    transfer's gradient sum: L*G for a block of L rounds, G for an o2b update
+    (alpha_t = 1)."""
+    config, default_reps = _ENERGY_CHECKS[lemma_id]
+    if spec is not None and config.algo == "o2b":
+        raise ConfigError("compressor", f"the {lemma_id} check runs {config.compressor} only; it takes no override")
+    config = replace(config, seed=seed, compressor=config.compressor if spec is None else spec)
+    reps = _require_positive_int("seeds", default_reps if seeds is None else seeds)
     plan = _resolve(config)
     paths = []  # per replication: the (2, steps) energies after each step
 
@@ -819,15 +837,7 @@ def _error_energies(config: RunConfig, reps: int):
     for batch in _batches(config.seed, reps, 1):
         _run_batch(config, batch, probe=probe)
     # Summed replication by replication, so the means do not depend on the split.
-    e_sq, ehat_sq = sum(paths) / reps
-    return plan, e_sq, ehat_sq
-
-
-def _energy_report(config: RunConfig, reps: int) -> VerifyReport:
-    """The ``<algo>_errors`` check: each energy's peak against its closed-form cap.
-    The residual-compression caps grow with the norm cap g of one transfer's
-    gradient sum: L*G for a block of L rounds, G for an o2b update (alpha_t = 1)."""
-    plan, e_sq, ehat_sq = _error_energies(config, reps)
+    energies = sum(paths) / reps
     delta, G = plan.delta, plan.G
     if config.algo == "dftcl":
         caps = 4.0 * (1.0 - delta) * G**2 / delta**2, 160.0 * (1.0 - delta) * G**2 / delta**4
@@ -836,45 +846,15 @@ def _energy_report(config: RunConfig, reps: int) -> VerifyReport:
         caps = 4.0 * math.e**2 * g**2, 120.0 * math.e**2 * g**2
     step = "b" if config.algo == "dftfcl" else "t"
     rows = []
-    for name, energy, bound in zip(("e", "e_hat"), (e_sq, ehat_sq), caps):
+    for name, energy, bound in zip(("e", "e_hat"), energies, caps):
         peak = float(energy.max())
         rows.append(VerifyRow(f"max_{step} mean ||{name}||^2", peak, bound, bound - peak, peak <= bound))
-    return VerifyReport(f"{config.algo}_errors", tuple(rows))
-
-
-def verify_dftcl_errors(
-    seed: int = 0, seeds: int = 50, spec: CompressorSpec | None = None
-) -> VerifyReport:
-    """Error-memory energies of the per-round algorithm vs their closed-form caps."""
-    spec = "randk:4" if spec is None else spec
-    return _energy_report(RunConfig("dftcl", "linear", 2000, 8, 16, spec, seed=seed), seeds)
-
-
-def verify_dftfcl_errors(seed: int = 0, seeds: int = 50, spec: CompressorSpec | None = None) -> VerifyReport:
-    """Block-algorithm error energies vs the residual-compression caps (L = ceil(1/delta))."""
-    spec = "randk:4" if spec is None else spec
-    return _energy_report(RunConfig("dftfcl", "linear", 2000, 8, 16, spec, seed=seed), seeds)
-
-
-def verify_o2b_errors(seed: int = 0, seeds: int = 20) -> VerifyReport:
-    """Online-to-batch error energies (uniform weights, RandK(2)) vs the residual-compression caps."""
-    return _energy_report(RunConfig("o2b", "lad", 1024, 4, 8, "randk:2", L=4, seed=seed), seeds)
-
-
-_CHECKS = {
-    "fcc_contraction": verify_fcc_contraction,
-    "dftcl_errors": verify_dftcl_errors,
-    "dftfcl_errors": verify_dftfcl_errors,
-    "o2b_errors": verify_o2b_errors,
-}
-VERIFY_IDS = tuple(_CHECKS)
+    return VerifyReport(lemma_id, tuple(rows))
 
 
 def verify_lemma(lemma_id: str, seed: int = 0, spec: CompressorSpec | None = None) -> VerifyReport:
-    if lemma_id not in _CHECKS:
+    if lemma_id not in VERIFY_IDS:
         raise ConfigError("lemma", f"unknown id {lemma_id!r}; expected one of {VERIFY_IDS}")
-    if spec is None:
-        return _CHECKS[lemma_id](seed)
-    if lemma_id == "o2b_errors":
-        raise ConfigError("compressor", "the o2b_errors check runs randk:2 only; it takes no override")
-    return _CHECKS[lemma_id](seed, spec=spec)
+    if lemma_id == "fcc_contraction":
+        return verify_fcc_contraction(seed, spec=spec)
+    return verify_errors(lemma_id, seed, spec=spec)

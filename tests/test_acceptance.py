@@ -19,8 +19,7 @@ from doco.harness import (
     RunConfig,
     fit_rate,
     monte_carlo,
-    verify_dftcl_errors,
-    verify_dftfcl_errors,
+    verify_errors,
     verify_fcc_contraction,
 )
 
@@ -54,8 +53,8 @@ def test_a01_fcc_contraction_decay():
 
 def test_a02_error_memory_energy_caps():
     start = time.time()
-    per_round = verify_dftcl_errors(seed=0, seeds=50)  # RandK delta=1/4, n=8, d=16, T=2000
-    blocked = verify_dftfcl_errors(seed=0, seeds=50)  # L = 4
+    per_round = verify_errors("dftcl_errors", seed=0, seeds=50)  # RandK delta=1/4, n=8, d=16, T=2000
+    blocked = verify_errors("dftfcl_errors", seed=0, seeds=50)  # L = 4
     elapsed = time.time() - start
     e_row, ehat_row = per_round.rows
     b_row = blocked.rows[0]

@@ -51,7 +51,7 @@ def test_dftcl_strongly_convex_matches_direct_recurrence():
     for t in range(1, T + 1):
         w = eng.decision
         w_hist.append(w)
-        info = eng.round(env.grads(t, w), collect=True)
+        info = eng.round(env.grads(t, w))
         s_sum += info.s
         # Direct argmin of <sum s, w> + (mu/2) sum_k ||w - w^k||^2.
         ref = fs.project((1.0 * np.sum(w_hist, axis=0) - s_sum) / (1.0 * t))
@@ -74,7 +74,7 @@ def test_dftcl_error_memories_telescope(spec):
     s_sum = np.zeros(d)
     for t in range(1, T + 1):
         g = env.grads(t, eng.decision)
-        info = eng.round(g, collect=True)
+        info = eng.round(g)
         g_sum += g
         v_sum += info.v
         vbar_sum += info.v.mean(axis=0)
@@ -102,11 +102,11 @@ def test_dftcl_gossip_error_feedback_hand_trace():
     eng = Dftcl(Ball(10.0, 1), 1, RandomGossip(0.5), eta=1.0, unidirectional=True, seed=0)
     eng._up.rngs = [_Script([0.9, 0.1])]  # fail, then succeed
     g1, g2 = np.array([[0.7]]), np.array([[-0.2]])
-    info1 = eng.round(g1, collect=True)
+    info1 = eng.round(g1)
     np.testing.assert_allclose(info1.v, [[0.0]])
     np.testing.assert_allclose(eng.e, [[0.7]])  # e^2 = g^1
     np.testing.assert_allclose(eng.decision, [0.0])  # nothing arrived yet
-    info2 = eng.round(g2, collect=True)
+    info2 = eng.round(g2)
     np.testing.assert_allclose(info2.v, [[0.5]])  # e^2 + g^2 transmitted whole
     np.testing.assert_allclose(eng.e, [[0.0]])
     np.testing.assert_allclose(eng.s_sum, [0.5])
@@ -229,7 +229,7 @@ def test_dftfcl_error_memories_telescope_blockwise():
     for t in range(1, B * L + 1):
         g = env.grads(t, eng.decision)
         z_acc += g
-        info = eng.round(g, collect=True)
+        info = eng.round(g)
         if t % L == 0:
             b = t // L
             if info.v is not None:  # completed uplink of block b-1
@@ -274,7 +274,7 @@ def test_dftfcl_strongly_convex_anchors_every_block():
     for t in range(1, B * L + 1):
         if (t - 1) % L == 0:
             block_decisions.append(eng.decision)
-        info = eng.round(env.grads(t, eng.decision), collect=True)
+        info = eng.round(env.grads(t, eng.decision))
         if info.s is not None:
             s_sum += info.s
         if t % L == 0 and t // L >= 3:
@@ -528,6 +528,33 @@ def test_engine_memories_telescope_and_counters_are_exact(algo, spec):
         else:
             per_msg = {Identity: 64 * d, RandK: 2 * (64 + 3), ScaledSign: d + 64}[type(spec)]
             assert bits == msgs * per_msg
+
+
+@pytest.mark.parametrize("seed", [4, (4, 5)], ids=["single", "lockstep"])
+@pytest.mark.parametrize("spec", ENGINE_SPECS, ids=["identity", "randk", "sign", "gossip"])
+@pytest.mark.parametrize("algo", ["dftcl", "dftfcl"])
+def test_writing_into_returned_messages_changes_no_later_round(algo, spec, seed):
+    # round() returns the messages it sent without copying them, so the
+    # engine must hold no reference to them.
+    n, d, L, T = 3, 5, 3, 30
+    grads = np.random.default_rng(5).normal(size=(T,) + np.shape(seed)[:1] + (n, d))
+    if algo == "dftcl":
+        clean, written_into = (Dftcl(Ball(1.0, d), n, spec, eta=0.3, seed=seed) for _ in range(2))
+    else:
+        clean, written_into = (Dftfcl(Ball(1.0, d), n, spec, L, eta=0.3, seed=seed) for _ in range(2))
+    messages = 0
+    for g in grads:
+        clean.round(g)
+        info = written_into.round(g)
+        for msg in (info.v, info.s):
+            if msg is not None:
+                msg[...] = np.nan
+                messages += 1
+        for name in ("decision", "e", "e_hat", "s_sum", "bits_up", "bits_down"):
+            assert np.asarray(getattr(written_into, name)).tobytes() == np.asarray(getattr(clean, name)).tobytes()
+    # Dftcl sends both messages every round; Dftfcl completes an uplink from
+    # block 2 and a downlink from block 3 on.
+    assert messages == (2 * T if algo == "dftcl" else 2 * (T // L) - 3)
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,16 @@ def test_verify_o2b_errors_rejects_a_compressor_override(capsys):
     assert "compressor" in captured.err
 
 
+def test_every_energy_check_row_resolves_and_is_a_verify_choice():
+    for lemma_id, (config, reps) in harness._ENERGY_CHECKS.items():
+        harness._resolve(config)
+        assert reps >= 1
+        assert harness.verify_errors(lemma_id, seeds=1).lemma == lemma_id
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    lemma = next(a for a in subparsers.choices["verify"]._actions if a.dest == "lemma")
+    assert tuple(lemma.choices) == harness.VERIFY_IDS == ("fcc_contraction", *harness._ENERGY_CHECKS)
+
+
 def test_verify_failure_exits_one(monkeypatch, capsys):
     import doco.cli as cli
     from doco.harness import VerifyReport, VerifyRow
@@ -402,6 +412,38 @@ def test_fit_from_csv(tmp_path, capsys):
     rc = main(["fit", "--csv", str(path), "--x", "T", "--y", "regret"])
     assert rc == 0
     assert "exponent=0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("xs,ys", [("1,2,4", "1,nan,3"), ("1,2,inf", "1,2,3")])
+def test_fit_non_finite_values_exit_two(xs, ys, capfd):
+    assert main(["fit", "--xs", xs, "--ys", ys]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""  # no fit, and no LAPACK chatter
+    assert err == "configuration error - fit: xs and ys must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        (["fit", "--csv", "data.csv", "--x", "T", "--y", "zz"], "y"),
+        (["fit", "--csv", "data.csv", "--x", "zz", "--y", "regret"], "x"),
+        (["fit", "--csv", "missing.csv", "--x", "T", "--y", "regret"], "csv"),
+        (["run", "--config", "missing.cfg", "--T", "8", "--out", "x.csv"], "config"),
+        (["run", "--config", "binary.cfg", "--T", "8", "--out", "x.csv"], "config"),
+        (["run", "--T", "8", "--out", "missing/x.csv"], "out"),
+        (["run", "--T", "8", "--out", "."], "out"),
+        (["sweep", "--T-grid", "8,16", "--out", "missing/x.csv"], "out"),
+    ],
+)
+def test_input_file_errors_name_their_key(command, key, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("T,regret\n4,2\n16,4\n64,8\n")
+    (tmp_path / "binary.cfg").write_bytes(b"\x9b\xff T = 8\n")
+    calls = []
+    monkeypatch.setattr(harness, "_run_batch", lambda *a, **k: calls.append(a))
+    assert main(command) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error - {key}: ")
+    assert calls == []  # raised before any round runs
 
 
 def test_fit_bad_input_is_config_error(capsys):

@@ -211,11 +211,11 @@ VERIFY = {
         trials=300, spec=parse_compressor("gossip:0.5")
     ),
     "fcc_contraction/sign/300": lambda: harness.verify_fcc_contraction(trials=300, spec=parse_compressor("sign")),
-    "dftcl_errors/randk:4/17": lambda: harness.verify_dftcl_errors(seeds=17),
-    "dftfcl_errors/randk:3/17": lambda: harness.verify_dftfcl_errors(seeds=17, spec=parse_compressor("randk:3")),
-    "dftcl_errors/gossip:0.5/2": lambda: harness.verify_dftcl_errors(seeds=2, spec=parse_compressor("gossip:0.5")),
-    "dftfcl_errors/sign/2": lambda: harness.verify_dftfcl_errors(seeds=2, spec=parse_compressor("sign")),
-    "o2b_errors/randk:2/17": lambda: harness.verify_o2b_errors(seeds=17),
+    "dftcl_errors/randk:4/17": lambda: harness.verify_errors("dftcl_errors", seeds=17),
+    "dftfcl_errors/randk:3/17": lambda: harness.verify_errors("dftfcl_errors", seeds=17, spec=parse_compressor("randk:3")),
+    "dftcl_errors/gossip:0.5/2": lambda: harness.verify_errors("dftcl_errors", seeds=2, spec=parse_compressor("gossip:0.5")),
+    "dftfcl_errors/sign/2": lambda: harness.verify_errors("dftfcl_errors", seeds=2, spec=parse_compressor("sign")),
+    "o2b_errors/randk:2/17": lambda: harness.verify_errors("o2b_errors", seeds=17),
 }
 
 VERIFY_SHA256 = {

@@ -329,9 +329,9 @@ def test_driver_gradients_equal_public_grads_in_backward_order(monkeypatch, env_
     seen = []
     round_ = harness.Dftcl.round
 
-    def spy(self, grads, collect=False):
+    def spy(self, grads):
         seen.append((self.decision.reshape(-1, cfg.d).copy(), grads.reshape(-1, cfg.n, cfg.d).copy()))
-        return round_(self, grads, collect)
+        return round_(self, grads)
 
     monkeypatch.setattr(harness.Dftcl, "round", spy)
     harness._run_batch(cfg, seeds)
@@ -435,8 +435,24 @@ def test_monte_carlo_rejects_non_finite_decisions(monkeypatch, workers):
     assert err.value.field == "decision"
 
 
+@pytest.fixture
+def pool_futures(monkeypatch):
+    """The futures of every task submitted to a pool ``harness`` starts.  A
+    test whose pool fails waits on them, so that a task still running when
+    the error is raised finishes there, not during a later test."""
+    futures = []
+
+    class Recording(harness.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    return futures
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_monte_carlo_many_raises_the_first_failed_configs_error(monkeypatch, workers):
+def test_monte_carlo_many_raises_the_first_failed_configs_error(monkeypatch, pool_futures, workers):
     # Configs 0 and 2 fail in their first chunk.  The pool runs the largest
     # tasks first, so at two workers config 0 starts only once config 2 has
     # failed; config 0's error is still the one raised, as it is in process.
@@ -450,6 +466,7 @@ def test_monte_carlo_many_raises_the_first_failed_configs_error(monkeypatch, wor
     with pytest.raises(ConfigError, match=rf"not finite from round 38 on \(seed {first_seed}\)$") as err:
         harness._monte_carlo_many(configs, reps=2, workers=workers)
     assert err.value.field == "decision"
+    assert not wait(pool_futures, timeout=30).not_done
 
 
 class _SlowToTheEnd(LinearAdversary):
@@ -465,7 +482,7 @@ class _SlowToTheEnd(LinearAdversary):
         super()._load(a, b)
 
 
-def test_pooled_failure_is_raised_before_later_tasks_finish(monkeypatch, tmp_path):
+def test_pooled_failure_is_raised_before_later_tasks_finish(monkeypatch, pool_futures, tmp_path):
     # The failing config has the larger T, so it is submitted first, and it
     # fails in its first chunk; the other loads its last chunk after 0.3 s.
     # The error must not wait for it.
@@ -475,20 +492,12 @@ def test_pooled_failure_is_raised_before_later_tasks_finish(monkeypatch, tmp_pat
     monkeypatch.setattr(
         harness.envs, "make_linear_adversary", lambda *args: (_NanFrom37 if args[2] == failing.T else _SlowToTheEnd)(*args)
     )
-    futures = []
-
-    class Recording(harness.ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
-            futures.append(super().submit(*args, **kwargs))
-            return futures[-1]
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
     with pytest.raises(ConfigError, match=r"not finite from round 38 on") as err:
         harness._monte_carlo_many([failing, ok], reps=1, workers=2)
     assert err.value.field == "decision"
     assert not marker.exists()
     # The running task finishes here, not during a later test.
-    assert not wait(futures, timeout=30).not_done
+    assert not wait(pool_futures, timeout=30).not_done
     assert marker.exists()
 
 
@@ -665,6 +674,9 @@ def test_fit_rate_rejects_bad_inputs():
         fit_rate([1, 2, 0], [1, 2, 3])
     with pytest.raises(ValueError):
         fit_rate([1, 2, 3], [1, -2, 3])
+    for xs, ys in (([1, 2, 4], [1, math.nan, 3]), ([1, 2, math.inf], [1, 2, 3]), ([1, 2, 4], [1, 2, math.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            fit_rate(xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -684,21 +696,19 @@ def test_verify_fcc_with_identity_is_exactly_zero():
 
 
 def test_verify_dftcl_errors_lossless_degenerate():
-    report = harness.verify_dftcl_errors(seeds=2, spec=Identity())
+    report = harness.verify_errors("dftcl_errors", seeds=2, spec=Identity())
     assert report.ok
     assert all(row.measured == 0.0 and row.bound == 0.0 for row in report.rows)
 
 
 @pytest.mark.parametrize("seeds", [0, -3])
-@pytest.mark.parametrize(
-    "check", [harness.verify_dftcl_errors, harness.verify_dftfcl_errors, harness.verify_o2b_errors]
-)
+@pytest.mark.parametrize("check", ["dftcl_errors", "dftfcl_errors", "o2b_errors"], ids=lambda c: f"verify_{c}")
 def test_energy_checks_reject_non_positive_seed_counts(check, seeds):
     with pytest.raises(ConfigError, match="^seeds: must be >= 1"):
-        check(seeds=seeds)
+        harness.verify_errors(check, seeds=seeds)
 
 
-@pytest.mark.parametrize("check", [harness.verify_dftcl_errors, harness.verify_o2b_errors])
+@pytest.mark.parametrize("check", ["dftcl_errors", "o2b_errors"], ids=lambda c: f"verify_{c}")
 def test_energy_checks_run_the_batches_monte_carlo_runs(check, monkeypatch):
     calls = []
     run_batch = harness._run_batch
@@ -708,7 +718,7 @@ def test_energy_checks_run_the_batches_monte_carlo_runs(check, monkeypatch):
         return run_batch(config, seeds, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_run_batch", recording)
-    check(seeds=17)
+    harness.verify_errors(check, seeds=17)
     checked = calls[:]
     calls.clear()
     harness.monte_carlo(checked[0][0], reps=17, workers=1)
@@ -718,9 +728,7 @@ def test_energy_checks_run_the_batches_monte_carlo_runs(check, monkeypatch):
 
 def test_verify_rows_carry_plain_floats_and_bools():
     reports = [
-        harness.verify_dftcl_errors(seeds=1),
-        harness.verify_dftfcl_errors(seeds=1),
-        harness.verify_o2b_errors(seeds=1),
+        *(harness.verify_errors(check, seeds=1) for check in harness._ENERGY_CHECKS),
         harness.verify_fcc_contraction(trials=50),
     ]
     for report in reports:
