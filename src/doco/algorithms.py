@@ -1,7 +1,8 @@
 """Engines for compressed-communication online learning over a star topology.
 
-Three single-threaded state machines, advanced round by round (or update by
-update) by the harness:
+Three single-threaded state machines, advanced by the harness a span of
+rounds at a time (``advance``) or, through the public API, round by round
+(``round``; O2b: update by update, ``step``):
 
 * :class:`Dftcl` - each round, every learner compresses its error-corrected
   gradient, the server averages, re-compresses with its own error memory, and
@@ -25,6 +26,12 @@ with L rounds, a bank's transfer being L rounds long) and takes the leader
 step (``_lead``).  Each engine sends its own learner leg, because Dftcl's
 ``e += g - v`` and O2b's ``e = (e + alpha g) - v`` are both sound but round
 differently, and the traces pin those bits.
+
+The messages and both memories are built from gradients alone, and the
+decision is a projection of the broadcast sum.  So given a span's gradient
+rows up front, Dftcl hops round by round and then takes the span's decisions
+as one cumulative sum and one row-wise projection, and Dftfcl sums each
+block's rows at once and steps once per block.
 
 Learner loops run in a fixed index order; the updates are order-independent,
 so this matches a parallel execution exactly.  Given a tuple of seeds, an
@@ -116,13 +123,12 @@ class _Engine:
 
     def _broadcast(self, vbar: np.ndarray) -> np.ndarray:
         """Server leg: send e_hat + vbar in one L-round transfer, keep what did
-        not arrive in e_hat, and add the broadcast to s_sum."""
+        not arrive in e_hat, and return the broadcast (s_sum is the caller's)."""
         s, bits = self._down.send((self.e_hat + vbar)[..., None, :])
         s = s[..., 0, :]
         self.e_hat += vbar - s
         self.bits_down += bits[-1]
         self.msgs_down += self.L
-        self.s_sum += s
         return s
 
     def _lead(self, mu: float | None, weight_total: float) -> None:
@@ -139,6 +145,14 @@ class _Engine:
         """Mean over the learner axis; ``v.mean(axis=-2)`` gives the same bits
         through numpy's slower Python wrapper, and so does a keyword axis."""
         return np.add.reduce(v, -2) / self.n
+
+    def _span_out(self, k: int, out):
+        """``out``, else new arrays for a span of k rounds: the decisions played,
+        (k, *lead, d), and the bit counters after each round, (k, *lead)."""
+        if out is not None:
+            return out
+        lead = self.decision.shape[:-1]
+        return np.empty((k,) + self.decision.shape), *(np.empty((k,) + lead, dtype=np.int64) for _ in range(2))
 
 
 class Dftcl(_Engine):
@@ -169,17 +183,51 @@ class Dftcl(_Engine):
 
     def round(self, grads: np.ndarray) -> RoundInfo:
         """Advance one round given the (n, d) per-learner gradients at the played decision."""
-        self.t += 1
         w_played = self.decision
-        v, bits = self._up.send(self.e + grads)
-        self.e += grads - v
-        self.bits_up += bits[-1]
-        self.msgs_up += self.n
-        s = self._broadcast(self._learner_mean(v))
+        v, s = self._hop(grads)
+        self.s_sum += s
         if self.mu is not None:
             self.anchor_sum += w_played
         self._lead(self.mu, float(self.t))
         return RoundInfo(w_played, v, s)
+
+    def advance(self, rows: np.ndarray, out=None):
+        """Advance len(rows) rounds, row j the (*lead, n, d) gradients of round
+        j, and return (decisions played, bits_up, bits_down after each round),
+        written into ``out`` if given.
+
+        The rows must not depend on the decisions of the span, which the caller
+        cannot know yet: the rows of a loss whose gradient ignores the
+        decision, or one row.  In the learning-rate mode the span hops round
+        by round, parks each broadcast in the decision rows, and turns them
+        into the s_sum rows by one cumulative sum carried from s_sum and into
+        the decisions by one row-wise projection: the bits of ``round`` after
+        ``round``.  The strongly convex step anchors each decision at the one
+        before, so that mode plays ``round`` after ``round``."""
+        W, bits_up, bits_down = self._span_out(len(rows), out)
+        stepwise = self.mu is not None or not len(rows)
+        for j, grads in enumerate(rows):
+            W[j] = self.round(grads).w_played if stepwise else self._hop(grads)[1]
+            bits_up[j], bits_down[j] = self.bits_up, self.bits_down
+        if stepwise:
+            return W, bits_up, bits_down
+        W[0] += self.s_sum
+        np.cumsum(W, axis=0, out=W)
+        self.s_sum[...] = W[-1]
+        P = self.feasible.project(-(self.eta / 2.0) * W)
+        W[0] = self.decision
+        W[1:] = P[:-1]
+        self.decision = P[-1].copy()
+        return W, bits_up, bits_down
+
+    def _hop(self, grads: np.ndarray):
+        """One round's error-feedback hop, learners then server: returns (v, s)."""
+        self.t += 1
+        v, bits = self._up.send(self.e + grads)
+        self.e += grads - v
+        self.bits_up += bits[-1]
+        self.msgs_up += self.n
+        return v, self._broadcast(self._learner_mean(v))
 
 
 class Dftfcl(_Engine):
@@ -215,25 +263,87 @@ class Dftfcl(_Engine):
         self.block = 1
         self._k = 0  # rounds completed within the current block
         self._z_acc = np.zeros(self.e.shape)
+        self._rows = None  # advance's buffer of rows laid on their blocks' rounds
         # The transfers being streamed: payload, what arrives, bits after j calls.
         self._up_payload = self._up_sent = self._up_bits = None  # e^{b-1} + z^{b-1}
         self._down_payload = self._down_sent = self._down_bits = None  # v^{b-2} + e_hat^{b-2}
 
     def round(self, grads: np.ndarray) -> RoundInfo:
         """Advance one round; pipeline completions happen on block boundaries."""
-        self.t += 1
-        self._k += 1
-        k, w_played = self._k, self.decision
+        w_played = self.decision
         self._z_acc += grads
-        if self.block >= 2:  # call k of each transfer sent at the boundary
-            self.bits_up += self._up_bits[k] - self._up_bits[k - 1]
-            self.msgs_up += self.n
-        if self.block >= 3:
-            self.bits_down += self._down_bits[k] - self._down_bits[k - 1]
-            self.msgs_down += 1
-        if k == self.L:
-            return RoundInfo(w_played, *self._finish_block())
-        return RoundInfo(w_played, None, None)
+        return RoundInfo(w_played, *self._count(1))
+
+    def advance(self, rows: np.ndarray, out=None):
+        """Advance len(rows) rounds, row j the (*lead, n, d) gradients of round
+        j, and return (decisions played, bits_up, bits_down after each round),
+        written into ``out`` if given.
+
+        The decision is frozen within a block, so rows up to the block's end
+        may be taken at the decision in play; rows past it must not depend on
+        the decision.  Each block's rows are summed at once (see
+        ``_block_sums``), and the block is finished as ``round`` finishes it."""
+        W, bits_up, bits_down = self._span_out(len(rows), out)
+        i = 0
+        for z in self._block_sums(rows):
+            m = min(self.L - self._k, len(rows) - i)
+            W[i : i + m] = self.decision
+            self._z_acc[...] = z
+            self._count(m, bits_up[i : i + m], bits_down[i : i + m])
+            i += m
+        return W, bits_up, bits_down
+
+    def _block_sums(self, rows: np.ndarray) -> np.ndarray:
+        """_z_acc at the end of each block the span ``rows`` reaches, the last
+        one cut at the span's end.
+
+        The rows are laid on their blocks' rounds in a buffer kept across
+        spans, zero outside the span, with _z_acc added to the first, and
+        summed from +0.0 in round order, one add per round of a block for all
+        blocks at once: the bits of ``_z_acc += g`` round by round.  A sum
+        that starts from +0.0 is never -0.0, so the zeros outside the span
+        change no sum.  (``np.add.reduce`` over the rounds would sum pairwise
+        when a round has one coordinate, and ``np.add.accumulate`` along them
+        takes ten times as long.)"""
+        k0, L, k = self._k, self.L, len(rows)
+        nb = -(-(k0 + k) // L) if k else 0
+        if self._rows is None or len(self._rows) < nb * L:
+            self._rows = np.empty((k + 2 * L,) + rows.shape[1:])
+        Z = self._rows[: nb * L]
+        Z[:k0] = 0.0
+        Z[k0 : k0 + k] = rows
+        Z[k0 + k :] = 0.0
+        Z[k0] += self._z_acc
+        Z = Z.reshape((nb, L) + rows.shape[1:])
+        sums = Z[:, 0] + 0.0
+        for j in range(1, L):
+            sums += Z[:, j]
+        return sums
+
+    def _count(self, m: int, bits_up=None, bits_down=None):
+        """Play rounds k+1..k+m of the block, k the rounds it has played: add
+        calls k+1..k+m of each transfer in flight to the counters, writing the
+        bit counters after each of those rounds into ``bits_up`` and
+        ``bits_down`` if given, and finish the block at its end.  Returns the
+        transfers that completed, else (None, None)."""
+        k = self._k
+        up = self._up_bits if self.block >= 2 else None  # a transfer's bits after j calls
+        down = self._down_bits if self.block >= 3 else None
+        if bits_up is not None:
+            for j in range(1, m + 1):
+                bits_up[j - 1] = self.bits_up if up is None else self.bits_up + (up[k + j] - up[k])
+                bits_down[j - 1] = self.bits_down if down is None else self.bits_down + (down[k + j] - down[k])
+        self.t += m
+        self._k += m
+        if up is not None:
+            self.bits_up += up[k + m] - up[k]
+            self.msgs_up += self.n * m
+        if down is not None:
+            self.bits_down += down[k + m] - down[k]
+            self.msgs_down += m
+        if self._k == self.L:
+            return self._finish_block()
+        return None, None
 
     def _finish_block(self):
         b = self.block
@@ -254,7 +364,7 @@ class Dftfcl(_Engine):
             self._down_sent = s[..., 0, :]
         self._up_payload = self.e + self._z_acc
         self._up_sent, self._up_bits = self._up.send(self._up_payload)
-        self._z_acc = np.zeros(self.e.shape)
+        self._z_acc[...] = 0.0
         self.block += 1
         self._k = 0
         return v_done, s_done
@@ -318,7 +428,7 @@ class O2b(_Engine):
         self.e = scaled - v
         self.bits_up += bits[-1]
         self.msgs_up += self.n * self.L
-        self._broadcast(self._learner_mean(v))
+        self.s_sum += self._broadcast(self._learner_mean(v))
         if self.mu is not None:  # linear weights: anchor at the iterates x^k
             self.anchor_sum += alpha * x
         self._lead(self.mu, self._alpha_total)

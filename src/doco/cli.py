@@ -241,7 +241,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.csv:
         if not (args.x and args.y):
             raise ConfigError("fit", "--csv needs --x and --y column names")
-        data = np.genfromtxt(_read_lines("csv", args.csv), delimiter=",", names=True)
+        lines = _read_lines("csv", args.csv)
+        if not any(line.strip() for line in lines):
+            raise ConfigError("csv", f"{args.csv!r} is empty")
+        try:
+            data = np.genfromtxt(lines, delimiter=",", names=True)
+        except ValueError as exc:  # e.g. a row with more fields than the header
+            raise ConfigError("csv", f"cannot parse {args.csv!r}: {' '.join(str(exc).split())}") from exc
         for key in ("x", "y"):
             if getattr(args, key) not in (data.dtype.names or ()):
                 raise ConfigError(key, f"no column {getattr(args, key)!r} in {args.csv!r}")

@@ -141,8 +141,10 @@ class _Online:
     """Base of the online environments: rounds are served a chunk of
     ``_CHUNK`` at a time, and ``_load(a, b)`` sets up rounds a+1..b.
 
-    ``_load`` sets ``_table``, the chunk's gradient data as one (n, d) row
-    per round, which ``_hold`` makes read-only.  ``_gradient(rows, w)`` turns
+    ``_table`` is the chunk's gradient data as one (n, d) row per round,
+    read-only.  ``_load`` sets it, or, where the table is built from smaller
+    chunk data, leaves it to ``_build_table`` on first read: the comparator
+    pass reloads chunks and never reads it.  ``_gradient(rows, w)`` turns
     rows and decisions into gradients, with any leading axes: a (n, d) row at
     a (d,) decision, or a lockstep batch's (R, n, d) rows at its (R, d)
     decisions.  A run reads a chunk's table, mean-loss rows,
@@ -151,12 +153,24 @@ class _Online:
     """
 
     _held = -1  # the chunk set up by the last _load
+    _ignores_decision = False  # whether _gradient returns the rows whatever the decision
+    _held_table = None  # the held chunk's table, None until built
+
+    @property
+    def _table(self) -> np.ndarray:
+        if self._held_table is None:
+            self._table = self._build_table()
+        return self._held_table
+
+    @_table.setter
+    def _table(self, table: np.ndarray) -> None:
+        table.flags.writeable = False
+        self._held_table = table
 
     def _hold(self, c: int) -> None:
         if c != self._held:
             a = c * _CHUNK
             self._load(a, min(a + _CHUNK, self.T))
-            self._table.flags.writeable = False
             self._held = c
 
     def grads(self, t: int, w: np.ndarray) -> np.ndarray:
@@ -180,9 +194,11 @@ class _Online:
 
 class _LinearLosses(_Online):
     """Mean loss <gbar_t, w>: a chunk holds its mean-gradient rows ``_gbar``,
-    and the hindsight description is their sum."""
+    and the hindsight description is their sum.  The gradients are the table
+    rows, whatever the decision."""
 
     mu = 0.0
+    _ignores_decision = True
 
     @staticmethod
     def _gradient(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -317,10 +333,14 @@ class IntervalLinearEnv(_LinearLosses):
         idx = _interval_index(a, b, self._K, self._Z)
         self._lo = int(idx[0])
         self._z = self._rows.rows(self._lo, int(idx[-1]) + 1)
-        zr = self._z[idx - self._lo]
-        self._gbar = self._frac * zr
-        self._table = np.zeros((b - a, self.n, self.d))
-        self._table[:, self.m :] = zr[:, None, :]
+        self._zr = self._z[idx - self._lo]
+        self._gbar = self._frac * self._zr
+        self._held_table = None
+
+    def _build_table(self) -> np.ndarray:
+        table = np.zeros((len(self._zr), self.n, self.d))
+        table[:, self.m :] = self._zr[:, None, :]
+        return table
 
     def _hind_terms(self, c: int) -> tuple:
         # Each interval's term, length * z_i, joins the sum in the chunk where the interval starts.
@@ -377,10 +397,13 @@ class IntervalQuadraticEnv(_QuadraticLosses):
         # anchors[i] has one row per learner: zero rows, then side * z_i rows.
         anchors = np.zeros((hi - lo, self.n, self.d))
         anchors[:, self.m :, :] = (self._side * self._rows.rows(lo, hi))[:, None, None]
-        local = idx - lo
-        self._table = anchors[local]
-        self._cbar = anchors.mean(axis=1)[local]
-        self._csq = (anchors**2).sum(axis=2).mean(axis=1)[local]
+        self._anchors, self._local = anchors, idx - lo
+        self._cbar = anchors.mean(axis=1)[self._local]
+        self._csq = (anchors**2).sum(axis=2).mean(axis=1)[self._local]
+        self._held_table = None
+
+    def _build_table(self) -> np.ndarray:
+        return self._anchors[self._local]
 
 
 class LadProblem:

@@ -4,6 +4,9 @@
 hindsight decisions.  It knows a loss only through value and subgradient
 calls, so it shares no arithmetic with ``doco.domains.best_in_hindsight``.
 
+``per_row_csv`` is a trace's CSV text written a row at a time, the
+reference for the column-wise ``to_csv``.
+
 ``lad_regularized_optimum`` is a per-coordinate candidate search for the
 ridge-regularized least-absolute-deviation optimum.  It scores every point
 where the minimizer can sit, so it shares no arithmetic with the median
@@ -96,3 +99,27 @@ def lad_regularized_optimum(shards, lo, hi, mu: float) -> tuple[np.ndarray, floa
             phi[start : start + 256] = np.abs(rows[:, None] - vals[None, :]).mean(axis=1) + 0.5 * mu * (rows - c) ** 2
         x[j] = cand[int(np.argmin(phi))]
     return x, float(np.abs(x - shards).sum(axis=2).mean()) + 0.5 * mu * float(((x - center) ** 2).sum())
+
+
+def per_row_csv(trace) -> str:
+    """The CSV text of a ``doco.harness`` trace, one f-string per row: the
+    round as an int, each real as the repr of its float, and each bit count
+    taken to float and written as an int when it is integral."""
+
+    def real(x) -> str:
+        return repr(float(x))
+
+    def count(x) -> str:
+        v = float(x)
+        return str(int(v)) if v.is_integer() else repr(v)
+
+    lines = [trace.header()]
+    for i in range(trace.t.shape[0]):
+        row = (
+            f"{int(trace.t[i])},{real(trace.cum_loss[i])},{real(trace.comparator[i])},"
+            f"{real(trace.regret[i])},{count(trace.bits_up[i])},{count(trace.bits_down[i])}"
+        )
+        if trace.subopt is not None:
+            row += f",{real(trace.subopt[i])}"
+        lines.append(row)
+    return "\n".join(lines) + "\n"

@@ -284,6 +284,33 @@ def test_dftfcl_strongly_convex_anchors_every_block():
             np.testing.assert_allclose(eng.decision, ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,d,L", [(1, 1, 16), (1, 1, 3), (3, 2, 4)])
+def test_dftfcl_block_sums_add_in_round_order(n, d, L):
+    # A span's block sums carry the held sum into the first block and start
+    # every later one from +0.0, adding one round at a time: the bits of
+    # _z_acc += g.  At one coordinate per round numpy's reduce sums 8 or
+    # more rounds pairwise, and a sum of -0.0 rows without the +0.0 start
+    # is -0.0.
+    rng = np.random.default_rng(L)
+    eng = Dftfcl(Ball(1.0, d), n, Identity(), L, eta=0.1)
+    for k0 in range(L):
+        rows = rng.standard_normal((4 * L + 1, n, d)) * 10.0 ** rng.integers(-12, 12, (4 * L + 1, n, d))
+        rows[rng.random(rows.shape) < 0.2] = -0.0
+        rows[2 * L - k0 : 3 * L - k0] = -0.0  # the span's third block
+        eng._k, eng._z_acc = k0, rng.standard_normal((n, d))
+        want, z, k = [], eng._z_acc.copy(), k0
+        for g in rows:
+            z += g
+            k += 1
+            if k == L:
+                want.append(z)
+                z, k = np.zeros((n, d)), 0
+        if k:
+            want.append(z)
+        got = eng._block_sums(rows)
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
 # ---------------------------------------------------------------------------
 # Online-to-batch driver
 # ---------------------------------------------------------------------------

@@ -446,6 +446,24 @@ def test_input_file_errors_name_their_key(command, key, tmp_path, monkeypatch, c
     assert calls == []  # raised before any round runs
 
 
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("", "'bad.csv' is empty"),
+        ("\n  \n", "'bad.csv' is empty"),
+        ("T,regret\n4,2\n16,4,5\n64,8\n", "cannot parse 'bad.csv': Some errors were detected ! Line #3 (got 3 columns instead of 2)"),
+    ],
+    ids=["empty", "blank", "ragged"],
+)
+def test_fit_unparsable_csv_exits_two_naming_csv(text, reason, tmp_path, monkeypatch, capfd):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text(text)
+    assert main(["fit", "--csv", "bad.csv", "--x", "T", "--y", "regret"]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == f"configuration error - csv: {reason}\n"  # one line: no traceback, no numpy warning
+
+
 def test_fit_bad_input_is_config_error(capsys):
     rc = main(["fit", "--xs", "1,2", "--ys", "3,4"])
     assert rc == 2

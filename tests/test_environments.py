@@ -643,6 +643,21 @@ def test_held_gradient_tables_are_read_only(kind):
         assert _same(env.grads(t, w), full.grads(t, w))
 
 
+@pytest.mark.parametrize("kind", ["convex_lower", "sc_lower"])
+def test_interval_tables_are_built_on_first_read(kind):
+    # The comparator pass reloads each chunk for its loss rows only; the
+    # chunk's gradient table is built when a gradient is first read, once.
+    env, full = _pair(kind, 3, 4, 300, seed=2)
+    w = np.full(4, 0.1)
+    env.mean_loss_curve(w)
+    assert env._held_table is None
+    g = env.grads(300, w)
+    table = env._held_table
+    assert table is not None and not table.flags.writeable
+    assert env._table is table
+    assert _same(g, full.grads(300, w))
+
+
 @pytest.mark.parametrize("kind", ENV_KINDS)
 def test_streamed_grads_in_any_order(kind):
     T = 700

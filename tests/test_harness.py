@@ -22,7 +22,7 @@ from doco.harness import (
     run,
     verify_lemma,
 )
-from oracles import BlackBoxLoss, minimize_convex
+from oracles import BlackBoxLoss, minimize_convex, per_row_csv
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +324,19 @@ def test_monte_carlo_bytes_equal_mean_of_single_runs(cfg, reps, workers, tmp_pat
 def test_driver_gradients_equal_public_grads_in_backward_order(monkeypatch, env_kw, seeds):
     # The driver reads each chunk's held (for a batch, stacked) tables; the
     # public grads(t, w) of fresh environments, asked from round T back to
-    # round 1, must give the same gradients at the decisions played.
+    # round 1, must give the same gradients at the decisions played.  The
+    # driver advances the engine a span of rounds at a time.
     cfg = RunConfig(algo="dftcl", T=300, n=3, d=5, compressor="gossip:0.5", seed=4, **env_kw)
     seen = []
-    round_ = harness.Dftcl.round
+    advance = harness.Dftcl.advance
 
-    def spy(self, grads):
-        seen.append((self.decision.reshape(-1, cfg.d).copy(), grads.reshape(-1, cfg.n, cfg.d).copy()))
-        return round_(self, grads)
+    def spy(self, rows, out=None):
+        played = advance(self, rows, out)
+        for w, grads in zip(played[0], rows, strict=True):
+            seen.append((w.reshape(-1, cfg.d).copy(), grads.reshape(-1, cfg.n, cfg.d).copy()))
+        return played
 
-    monkeypatch.setattr(harness.Dftcl, "round", spy)
+    monkeypatch.setattr(harness.Dftcl, "advance", spy)
     harness._run_batch(cfg, seeds)
     assert len(seen) == cfg.T
     for r, seed in enumerate(seeds):
@@ -379,6 +382,110 @@ def test_lockstep_batch_traces_equal_single_runs(case, tmp_path_factory):
         ref.to_csv(single)
         assert batch.read_bytes() == single.read_bytes()
         assert trace.comparator_point.tobytes() == ref.comparator_point.tobytes()
+
+
+@st.composite
+def _span_case(draw, algo):
+    """A config of ``algo``, its T a multiple of neither the 256-round chunk
+    nor L, R replication seeds, cut points that split the rounds into spans,
+    and the share of gradient rows to turn into -0.0."""
+    env = draw(st.sampled_from(["linear", "convex_lower", "sc_quadratic"]))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    compressor = draw(st.sampled_from(["identity", f"randk:{draw(st.integers(1, d))}", "gossip:0.5", "sign"]))
+    L = None if algo == "dftcl" else draw(st.sampled_from([1, 2, 3, 4, 5]))
+    T = draw(st.integers(20, 600).filter(lambda T: T % 256 and (L in (None, 1) or T % L)))
+    cfg = RunConfig(
+        algo, env, T, n, d, compressor, L=L, mu=0.5 if env == "sc_quadratic" else None,
+        unidirectional=algo == "dftcl" and draw(st.booleans()),
+    )  # fmt: skip
+    seeds = tuple(draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True)))
+    cuts = sorted(set(draw(st.lists(st.integers(1, T - 1), min_size=1, max_size=12))))
+    return cfg, seeds, cuts, draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+
+_ENGINE_STATE = ("decision", "e", "e_hat", "s_sum", "anchor_sum", "bits_up", "bits_down", "msgs_up", "msgs_down", "t")
+
+
+@pytest.mark.parametrize("step", ["eta", "mu"])
+@pytest.mark.parametrize("algo", ["dftcl", "dftfcl"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_engine_spans_equal_round_by_round(algo, step, data):
+    # advance over any split of the rounds plays the decisions, counts the
+    # bits and leaves every state array as round after round does.  Rows that
+    # depend on the decision come in the spans the driver gives them: one
+    # round (Dftcl) or up to the block's end (Dftfcl).  Whole learner rows
+    # of -0.0 pin the signs of zero sums.
+    cfg, seeds, cuts, zero_share = data.draw(_span_case(algo))
+    plans = [harness._resolve(replace(cfg, seed=s, eta=0.05 if step == "eta" else None)) for s in seeds]
+    if step == "mu":
+        plans = [replace(p, eta=None, mu_step=0.5) for p in plans]
+    stepped, spanned = harness._engine(plans), harness._engine(plans)
+    env, T = plans[0].env, cfg.T
+    table = np.empty((T, len(seeds), cfg.n, cfg.d))
+    for c, a, b in harness.envs._chunks(T):
+        for r, p in enumerate(plans):
+            p.env._hold(c)
+            table[a:b, r] = p.env._table
+    table = table if len(seeds) > 1 else table[:, 0]
+    zeros = np.random.default_rng(T).random(table.shape[:-1] + (1,)) < zero_share
+
+    def grads(t, k, decision):  # rounds t+1..t+k at the decision
+        return np.where(zeros[t : t + k], -0.0, env._gradient(table[t : t + k], decision))
+
+    names = _ENGINE_STATE + (("_z_acc", "block", "_k") if algo == "dftfcl" else ())
+    W, up, down, states = [], [], [], {}
+    for t in range(T):
+        W.append(stepped.decision)
+        stepped.round(grads(t, 1, stepped.decision)[0])
+        up.append(np.array(stepped.bits_up))  # in lockstep, arrays the engine adds to in place
+        down.append(np.array(stepped.bits_down))
+        states[t + 1] = [np.asarray(getattr(stepped, name)).tobytes() for name in names]
+    bounds = [0, *cuts, T]
+    for a, b in zip(bounds, bounds[1:]):
+        t = a
+        while t < b:
+            k = b - t if env._ignores_decision else min(spanned.L - spanned.t % spanned.L, b - t)
+            played, bits_up, bits_down = spanned.advance(grads(t, k, spanned.decision))
+            for j in range(k):
+                assert played[j].tobytes() == W[t + j].tobytes(), ("decision", t + j)
+                assert bits_up[j].tobytes() == up[t + j].tobytes()
+                assert bits_down[j].tobytes() == down[t + j].tobytes()
+            t += k
+            got = [np.asarray(getattr(spanned, name)).tobytes() for name in names]
+            assert got == states[t], (t, [name for name, x, y in zip(names, got, states[t]) if x != y])
+
+
+@pytest.mark.parametrize("S", [1, 5, harness._CSV_BLOCK + 3])
+@pytest.mark.parametrize("kind", ["run", "mean"])
+@pytest.mark.parametrize("subopt", [False, True])
+def test_csv_writer_bytes_equal_the_row_writer(S, kind, subopt, tmp_path):
+    # Signed zeros, subnormals, huge and tiny reals; integer bit counts above
+    # 2^53 (a run's, which go through float64) and non-integral mean counts.
+    rng = np.random.default_rng(S)
+    special = [-0.0, 0.0, 5e-324, -1e-310, 1e300, -1.5, 0.1, 2.0**53 + 2.0]
+
+    def reals():
+        x = rng.standard_normal(S) * 10.0 ** rng.integers(-300, 300, S)
+        pick = rng.random(S) < 0.5
+        x[pick] = rng.choice(special, pick.sum())
+        return x
+
+    def counts():
+        if kind == "run":
+            return rng.choice(np.array([0, 1, 2**53 - 1, 2**53 + 1, 2**62 + 7, 123456789], dtype=np.int64), S)
+        return np.where(rng.random(S) < 0.5, rng.integers(0, 2**40, S) / 3.0, rng.choice([2.0**53 + 2.0, 1e20, 7.0, -0.0], S))
+
+    common = dict(
+        t=3 * np.arange(1, S + 1), cum_loss=reals(), comparator=reals(), regret=reals(),
+        bits_up=counts(), bits_down=counts(), subopt=reals() if subopt else None,
+    )  # fmt: skip
+    if kind == "run":
+        trace = RegretTrace(**common, comparator_point=np.zeros(2), comparator_value=0.0)
+    else:
+        trace = MeanTrace(**common, regret_stderr=reals(), subopt_stderr=None, reps=3)
+    trace.to_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == per_row_csv(trace).encode()
 
 
 @pytest.mark.parametrize("S", [1, 5])
