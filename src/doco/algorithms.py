@@ -20,18 +20,20 @@ rounds at a time (``advance``) or, through the public API, round by round
   transfer is an L-round residual compression (L communication rounds).
 
 All three are one error-feedback hop inside FTRL, held by a private base:
-the base owns the memories, the counters and the sender banks, sends the
-server leg (``_broadcast``: the same code for Dftcl with one round and O2b
-with L rounds, a bank's transfer being L rounds long) and takes the leader
-step (``_lead``).  Each engine sends its own learner leg, because Dftcl's
+the base owns the memories, the counters and the sender banks and takes the
+leader step (``_lead``).  Each engine sends its own hop, because Dftcl's
 ``e += g - v`` and O2b's ``e = (e + alpha g) - v`` are both sound but round
 differently, and the traces pin those bits.
 
 The messages and both memories are built from gradients alone, and the
 decision is a projection of the broadcast sum.  So given a span's gradient
-rows up front, Dftcl hops round by round and then takes the span's decisions
-as one cumulative sum and one row-wise projection, and Dftfcl sums each
-block's rows at once and steps once per block.
+rows up front, Dftcl scans the span's error feedback (``_feedback``: the
+learners over the k rows, then the server over the k learner means, each
+memory one in-place recurrence) and takes the span's decisions as one
+cumulative sum and one row-wise projection, and Dftfcl sums each block's
+rows at once and steps once per block.  O2b's oracle reads the iterate, so
+it sends update by update: the learner leg, then the server leg, through
+the banks' ``send``.
 
 Learner loops run in a fixed index order; the updates are order-independent,
 so this matches a parallel execution exactly.  Given a tuple of seeds, an
@@ -40,6 +42,7 @@ engine advances one replication per seed in lockstep (see ``_Engine``).
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +82,10 @@ class _Engine:
     """What the three engines share: the validated step parameters, the
     decision, the learner memories ``e`` (one row per learner), the server
     memory ``e_hat``, the broadcast sum ``s_sum``, the anchor sum of the
-    strongly convex step, the counters, and both sides' sender banks.
+    strongly convex step, the counters, both sides' sender banks, and the
+    leader step.  Each engine sends its own hop: Dftcl a span of rounds at
+    once, Dftfcl a block's transfers at its boundary, O2b an update's two
+    legs through the banks' ``send``.
 
     An int ``seed`` makes one replication: ``decision`` has shape (d,), ``e``
     (n, d), and the bit counters are ints.  A tuple of seeds advances one
@@ -94,10 +100,10 @@ class _Engine:
     def __init__(self, feasible, n, spec, server_spec, L, eta, mu, seed):
         if (eta is None) == (mu is None):
             raise ConfigError("eta", "exactly one of eta (convex) or mu (strongly convex) is required")
-        if eta is not None and not eta > 0:
-            raise ConfigError("eta", f"must be positive, got {eta}")
-        if mu is not None and not mu > 0:
-            raise ConfigError("mu", f"must be positive, got {mu}")
+        if eta is not None and not 0.0 < eta < math.inf:
+            raise ConfigError("eta", f"must be positive and finite, got {eta}")
+        if mu is not None and not 0.0 < mu < math.inf:
+            raise ConfigError("mu", f"must be positive and finite, got {mu}")
         if n < 1:
             raise ConfigError("n", f"must be >= 1, got {n}")
         if L < 1:
@@ -120,16 +126,6 @@ class _Engine:
         self._up = _SenderBank(spec, self.d, up, lead + (n,), rounds=L)
         down = [entity_stream(s, _SERVER, 0) for s in seeds]
         self._down = _SenderBank(server_spec, self.d, down, lead + (1,), rounds=L)
-
-    def _broadcast(self, vbar: np.ndarray) -> np.ndarray:
-        """Server leg: send e_hat + vbar in one L-round transfer, keep what did
-        not arrive in e_hat, and return the broadcast (s_sum is the caller's)."""
-        s, bits = self._down.send((self.e_hat + vbar)[..., None, :])
-        s = s[..., 0, :]
-        self.e_hat += vbar - s
-        self.bits_down += bits[-1]
-        self.msgs_down += self.L
-        return s
 
     def _lead(self, mu: float | None, weight_total: float) -> None:
         """Leader step on s_sum: the learning-rate step when mu is None, else
@@ -180,15 +176,16 @@ class Dftcl(_Engine):
         seed: int | tuple[int, ...] = 0,
     ):
         super().__init__(feasible, n, spec, Identity() if unidirectional else spec, 1, eta, mu, seed)
+        self._span = None  # the hop's buffers, see _buffers
+        self._one = self._span_out(1, None)  # round's broadcast and counters
 
     def round(self, grads: np.ndarray) -> RoundInfo:
-        """Advance one round given the (n, d) per-learner gradients at the played decision."""
-        w_played = self.decision
-        v, s = self._hop(grads)
-        self.s_sum += s
-        if self.mu is not None:
-            self.anchor_sum += w_played
-        self._lead(self.mu, float(self.t))
+        """Advance one round given the (n, d) per-learner gradients at the
+        played decision: a span of one row."""
+        w_played, (S, bits_up, bits_down) = self.decision, self._one
+        v = self._scan(grads[None], S, bits_up, bits_down)[0].copy()
+        s = S[0].copy()
+        self._play(S)
         return RoundInfo(w_played, v, s)
 
     def advance(self, rows: np.ndarray, out=None):
@@ -198,36 +195,100 @@ class Dftcl(_Engine):
 
         The rows must not depend on the decisions of the span, which the caller
         cannot know yet: the rows of a loss whose gradient ignores the
-        decision, or one row.  In the learning-rate mode the span hops round
-        by round, parks each broadcast in the decision rows, and turns them
-        into the s_sum rows by one cumulative sum carried from s_sum and into
-        the decisions by one row-wise projection: the bits of ``round`` after
-        ``round``.  The strongly convex step anchors each decision at the one
-        before, so that mode plays ``round`` after ``round``."""
+        decision, or one row.  The span hops first, parking each broadcast in
+        the decision rows, and then plays them (see ``_play``)."""
         W, bits_up, bits_down = self._span_out(len(rows), out)
-        stepwise = self.mu is not None or not len(rows)
-        for j, grads in enumerate(rows):
-            W[j] = self.round(grads).w_played if stepwise else self._hop(grads)[1]
-            bits_up[j], bits_down[j] = self.bits_up, self.bits_down
-        if stepwise:
-            return W, bits_up, bits_down
+        if len(rows):
+            self._scan(rows, W, bits_up, bits_down)
+            self._play(W)
+        return W, bits_up, bits_down
+
+    def _scan(self, rows: np.ndarray, S: np.ndarray, bits_up: np.ndarray, bits_down: np.ndarray) -> np.ndarray:
+        """The error-feedback hop of the k rounds of ``rows``: write the
+        broadcasts into S, (k, *lead, d), and the bit counters after each round
+        into ``bits_up`` and ``bits_down``, and return the learners' messages,
+        (k, *lead, n, d), in a buffer the next span overwrites.
+
+        The messages and memories depend on the gradients alone, so the
+        learners run all k rounds (``_feedback``), then the server runs them on
+        the k learner means, and each counter is one cumulative sum of the
+        bank's per-transfer bits."""
+        k = len(rows)
+        V, vbar, x, dx, y, dy = self._buffers(k)
+        keep, spent_up = self._up.take(k)
+        _feedback(self.e, rows, V, keep, x, dx, self._up)
+        np.add.reduce(V, -2, out=vbar)
+        vbar /= self.n
+        keep, spent_down = self._down.take(k)
+        _feedback(self.e_hat, vbar, S, None if keep is None else keep[..., 0, :], y, dy, self._down)
+        self.t += k
+        self.msgs_up += self.n * k
+        self.msgs_down += k
+        self.bits_up = _tally(self.bits_up, spent_up[:, -1], bits_up)
+        self.bits_down = _tally(self.bits_down, spent_down[:, -1], bits_down)
+        return V
+
+    def _buffers(self, k: int):
+        """The hop's buffers for a span of k rounds: the learners' messages,
+        their means, and two scratch rows each of e's and e_hat's shape.
+        Allocated once, and again only for a longer span."""
+        if self._span is None or len(self._span[0]) < k:
+            self._span = (np.empty((k,) + self.e.shape), np.empty((k,) + self.e_hat.shape),
+                          np.empty_like(self.e), np.empty_like(self.e),
+                          np.empty_like(self.e_hat), np.empty_like(self.e_hat))  # fmt: skip
+        V, vbar, *rows = self._span
+        return V[:k], vbar[:k], *rows
+
+    def _play(self, W: np.ndarray) -> None:
+        """Turn the span's broadcasts, parked in W, into the decisions played.
+
+        In the learning-rate mode one cumulative sum carried from s_sum gives
+        the s_sum rows, and one row-wise projection the decisions: the bits of
+        ``s_sum += s`` and a leader step round after round.  The strongly
+        convex step anchors each decision at the one before, so that mode, and
+        a span of one round, step round after round."""
+        if self.mu is not None or len(W) == 1:
+            t = self.t - len(W)
+            for j, s in enumerate(W):
+                self.s_sum += s
+                if self.mu is not None:
+                    self.anchor_sum += self.decision
+                s[...] = self.decision
+                self._lead(self.mu, float(t + j + 1))
+            return
         W[0] += self.s_sum
-        np.cumsum(W, axis=0, out=W)
+        np.add.accumulate(W, 0, out=W)
         self.s_sum[...] = W[-1]
         P = self.feasible.project(-(self.eta / 2.0) * W)
         W[0] = self.decision
         W[1:] = P[:-1]
         self.decision = P[-1].copy()
-        return W, bits_up, bits_down
 
-    def _hop(self, grads: np.ndarray):
-        """One round's error-feedback hop, learners then server: returns (v, s)."""
-        self.t += 1
-        v, bits = self._up.send(self.e + grads)
-        self.e += grads - v
-        self.bits_up += bits[-1]
-        self.msgs_up += self.n
-        return v, self._broadcast(self._learner_mean(v))
+
+def _feedback(e, rows, sent, keep, x, dx, bank) -> None:
+    """Error feedback over ``rows`` in turn, in place: ``sent[j]`` is the
+    compression of ``e + rows[j]`` (``keep[j]`` its keep-mask, or the scaled
+    sign of ``bank`` when keep is None), and ``e += rows[j] - sent[j]``, with
+    the bits of that line.  x and dx are scratch of e's shape."""
+    if keep is not None:
+        sent.fill(0.0)
+    for j in range(len(rows)):  # indexing beats zip over arrays on short spans
+        g, v = rows[j], sent[j]
+        np.add(e, g, out=x)
+        if keep is None:
+            v[...] = bank.scaled_sign(x)
+        else:
+            np.copyto(v, x, where=keep[j])
+        np.subtract(g, v, out=dx)
+        np.add(e, dx, out=e)
+
+
+def _tally(total, spent: np.ndarray, out: np.ndarray):
+    """Write ``total`` plus the running sum of ``spent``, each transfer's bits,
+    (k, *lead), into ``out``, and return the new total: an int, or in
+    lockstep an array of one per replication."""
+    np.add(np.add.accumulate(spent, 0), total, out=out)
+    return out[-1].copy() if out.ndim > 1 else int(out[-1])
 
 
 class Dftfcl(_Engine):
@@ -428,7 +489,13 @@ class O2b(_Engine):
         self.e = scaled - v
         self.bits_up += bits[-1]
         self.msgs_up += self.n * self.L
-        self.s_sum += self._broadcast(self._learner_mean(v))
+        vbar = self._learner_mean(v)
+        s, bits = self._down.send((self.e_hat + vbar)[..., None, :])
+        s = s[..., 0, :]
+        self.e_hat += vbar - s
+        self.bits_down += bits[-1]
+        self.msgs_down += self.L
+        self.s_sum += s
         if self.mu is not None:  # linear weights: anchor at the iterates x^k
             self.anchor_sum += alpha * x
         self._lead(self.mu, self._alpha_total)

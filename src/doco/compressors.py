@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .domains import ConfigError
+from .domains import ConfigError, as_decision
 
 __all__ = [
     "Identity",
@@ -157,15 +157,29 @@ def nominal_delta(spec: CompressorSpec, d: int) -> float:
 _CHUNK = 256  # compressor calls whose randomness an engine's sender bank draws at once, in whole transfers
 
 
+def _k_smallest(U: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k smallest entries along the last axis of U, 0 < k < d.
+
+    A row keeps what is at most its k-th smallest entry.  That is k entries,
+    the k that ``argpartition(U, k)[..., :k]`` picks, unless a tie at the k-th
+    smallest keeps more: then every row takes that pick."""
+    mask = U <= np.partition(U, k - 1, axis=-1)[..., k - 1 : k]
+    if np.count_nonzero(mask) != mask.size // U.shape[-1] * k:
+        mask = np.zeros(U.shape, dtype=bool)
+        np.put_along_axis(mask, np.argpartition(U, k, axis=-1)[..., :k], True, axis=-1)
+    return mask
+
+
 class _SenderBank:
     """The senders of one side (learners or server), one stream each.
 
     ``shape`` lays the senders out as payload rows: ``(n,)`` for the n senders
     of one replication, ``(R, n)`` for R replications advanced in lockstep, with
     ``rngs`` listed replication by replication (default: one row per stream).
-    ``send(X)`` makes one transfer: the ``rounds``-round residual compression
-    of the row of X, shape ``shape + (d,)``, of each sender with that sender's
-    stream, ``rounds`` compressor calls per sender.
+    ``take(k)`` serves the next k transfers, each the ``rounds``-round
+    residual compression of one row per sender with that sender's stream,
+    ``rounds`` compressor calls per sender: their keep-masks and bits.
+    ``send(X)`` makes one transfer of X, shape ``shape + (d,)``.
 
     Compressor randomness never depends on the data, so the bank draws it for
     ``max(1, chunk // rounds)`` transfers at a time with one block draw per
@@ -181,12 +195,12 @@ class _SenderBank:
     residual is zero from then on, so after L rounds the receiver holds
     exactly the coordinates any of the L calls kept: ``where(m_1 | ... | m_L,
     X, 0.0) + 0.0`` for L >= 2, the ``+ 0.0`` because the loop's later rounds
-    turn a kept ``-0.0`` into ``+0.0``.  Identity keeps every coordinate (X
-    for one round, ``X + 0.0`` for more).  The bank ORs each transfer's masks
-    once per chunk and sends with one select.  This equals the loop bit for
-    bit for finite inputs: a kept inf turns nan in the loop's later rounds
-    (inf - inf), and stays inf in the closed form.  The scaled sign is not a
-    mask, and keeps the residual loop.
+    turn a kept ``-0.0`` into ``+0.0``.  Identity keeps every coordinate: its
+    mask is all true.  The bank ORs each transfer's masks once per chunk and
+    sends with one select.  This equals the loop bit for bit for finite
+    inputs: a kept inf turns nan in the loop's later rounds (inf - inf), and
+    stays inf in the closed form.  The scaled sign is not a mask, and keeps
+    the residual loop.
     """
 
     def __init__(
@@ -210,6 +224,8 @@ class _SenderBank:
         self._keep: np.ndarray | None = None  # drawn on first use, never at construction
         self._uniforms: np.ndarray | None = None  # randk: the chunk's uniforms, (stream, call, coordinate)
         self._bits = None  # gossip: each transfer's bits after j calls, per replication
+        self._all_true = None  # identity and randk with k = d: the keep-mask, built on first use
+        self._delivered = None  # take's bits where every message is delivered, built on first use
         self._used = self._per_chunk  # transfers served from the current chunk
 
     def _draw_chunk(self) -> None:
@@ -222,9 +238,8 @@ class _SenderBank:
             keep = (U < spec.p).reshape(by_call)
             # A delivered message costs its bits, a failed one one flag bit.
             call_bits = np.add.reduce(keep, -1) * (self._msg_bits - 1) + self._shape[-1]
-            spent = np.zeros((self._per_chunk, self.rounds + 1) + self._shape[:-1], dtype=np.int64)
-            np.cumsum(call_bits, axis=1, out=spent[:, 1:])
-            self._bits = spent.tolist() if len(self._shape) == 1 else spent
+            self._bits = np.zeros((self._per_chunk, self.rounds + 1) + self._shape[:-1], dtype=np.int64)
+            np.cumsum(call_bits, axis=1, out=self._bits[:, 1:])
             self._keep = (np.logical_or.reduce(keep, axis=1) if self.rounds > 1 else keep[:, 0])[..., None]
             return
         # The k smallest of d i.i.d. uniforms index a uniform k-subset.  The
@@ -234,14 +249,57 @@ class _SenderBank:
             self._uniforms = np.empty((len(self.rngs), calls, self.d))
         for rng, block in zip(self.rngs, self._uniforms):
             rng.random(out=block)
-        keep = np.argpartition(self._uniforms, spec.k, axis=-1)[..., : spec.k]
-        mask = np.zeros(self._uniforms.shape, dtype=bool)
-        np.put_along_axis(mask, keep, True, axis=-1)
+        mask = _k_smallest(self._uniforms, spec.k)
         if self.rounds > 1:  # a transfer keeps what any of its calls keeps
             mask = np.logical_or.reduce(mask.reshape(len(self.rngs), self._per_chunk, self.rounds, self.d), axis=2)
         self._keep = mask.transpose(1, 0, 2).reshape((self._per_chunk,) + self._shape + (self.d,))
 
-    def _scaled_sign(self, Y: np.ndarray) -> np.ndarray:
+    def _serve(self, k: int):
+        """Serve the next k >= 1 transfers: their keep-masks (None for the
+        scaled sign) and, for gossip, their bits after j calls (else None)."""
+        if not self._draws:
+            if self._sign:
+                return None, None
+            if self._all_true is None or len(self._all_true) < k:
+                self._all_true = np.broadcast_to(True, (max(k, self._per_chunk),) + self._shape + (self.d,))
+            return self._all_true[:k], None
+        i = self._used
+        if i + k <= self._per_chunk:  # the drawn chunk holds them
+            self._used += k
+            return self._keep[i : i + k], (self._bits[i : i + k] if self._gossip else None)
+        keep, spent = [], []
+        while k:
+            if self._used == self._per_chunk:
+                self._draw_chunk()
+                self._used = 0
+            i = self._used
+            m = min(k, self._per_chunk - i)
+            keep.append(self._keep[i : i + m])
+            spent.append(self._bits[i : i + m] if self._gossip else None)
+            self._used += m
+            k -= m
+        if len(keep) == 1:
+            return keep[0], spent[0]
+        return np.concatenate(keep), (np.concatenate(spent) if self._gossip else None)
+
+    def take(self, k: int):
+        """The next k >= 1 transfers: their keep-masks, (k, *shape, d), None
+        for the scaled sign, and their bits after j = 0..rounds calls, (k,
+        rounds + 1, *lead) with ``lead = shape[:-1]``: what one replication's
+        senders spent, which differs between replications only for gossip.
+        Both are views of the bank's own arrays, not to be written, but where
+        the k transfers span two chunks."""
+        keep, spent = self._serve(k)
+        if spent is not None:
+            return keep, spent
+        if self._delivered is None or len(self._delivered) < k:
+            lead = self._shape[:-1]
+            spent = np.array(self._spent).reshape((self.rounds + 1,) + (1,) * len(lead))
+            self._delivered = np.broadcast_to(spent, (max(k, self._per_chunk), self.rounds + 1) + lead)
+        return keep, self._delivered[:k]
+
+    def scaled_sign(self, Y: np.ndarray) -> np.ndarray:
+        """The scaled sign of each row of Y."""
         scale = np.abs(Y).sum(axis=-1, keepdims=True) / self.d
         return np.where(Y >= 0.0, scale, -scale)
 
@@ -251,22 +309,18 @@ class _SenderBank:
         on the transfer's first j calls, j = 0..rounds, so ``bits[-1]`` is the
         transfer's total: an int, or for gossip in lockstep an int array with
         one entry per replication, since their failed messages differ."""
-        if self._draws:
-            if self._used == self._per_chunk:
-                self._draw_chunk()
-                self._used = 0
-            i = self._used
-            self._used += 1
-            R = np.where(self._keep[i], X, 0.0)
+        keep, spent = self._serve(1)
+        if keep is None:
+            R = self.scaled_sign(X)
+            for _ in range(self.rounds - 1):
+                R = R + self.scaled_sign(X - R)
+        else:
+            R = np.where(keep[0], X, 0.0)
             if self.rounds > 1:
                 R += 0.0
-            return R, self._bits[i] if self._gossip else self._spent
-        if not self._sign:
-            return (X + 0.0 if self.rounds > 1 else X.copy()), self._spent
-        R = self._scaled_sign(X)
-        for _ in range(self.rounds - 1):
-            R = R + self._scaled_sign(X - R)
-        return R, self._spent
+        if spent is None:
+            return R, self._spent
+        return R, spent[0] if len(self._shape) > 1 else spent[0].tolist()
 
 
 def compress(spec: CompressorSpec, x, rng: np.random.Generator) -> CompressedMessage:
@@ -292,7 +346,7 @@ def fcc(
     """
     if L < 1:
         raise ConfigError("L", f"must be >= 1, got {L}")
-    v = np.asarray(x, dtype=np.float64)
+    v = as_decision(x, field="x")
     bank = _SenderBank(spec, v.shape[0], [rng], chunk=L)
     r = np.zeros(v.shape[0])
     messages = []

@@ -59,10 +59,22 @@ def _chunks(T: int):
 def _signs(rng: np.random.Generator, shape: tuple, scale: float) -> np.ndarray:
     """Coordinates uniform on {-scale, +scale}: (2 * integers(0, 2) - 1) * scale, in place.
 
-    int32 output takes the same 32-bit draws, and gives the same values, as
-    the default int64.
+    ``integers(0, 2, dtype=int32)`` is the top bit of each 32-bit draw, and a
+    PCG64 stream serves its 64-bit outputs as 32-bit draws low half first.
+    So for an even count m, on a stream holding no buffered half word, the
+    top bits of the halves of ``random_raw(m // 2)`` (viewed as uint32 on a
+    little-endian host, low half first) are the same values and leave the
+    stream where ``integers`` leaves it (only the stale, unread ``uinteger``
+    of its state may differ).  Otherwise ``integers`` draws them.
     """
-    signs = rng.integers(0, 2, size=shape, dtype=np.int32).astype(np.float64)
+    m = math.prod(shape)
+    bitgen = rng.bit_generator
+    raw = m % 2 == 0 and np.little_endian and isinstance(bitgen, np.random.PCG64)
+    if not raw or bitgen.state["has_uint32"]:
+        bits = rng.integers(0, 2, size=shape, dtype=np.int32)
+    else:
+        bits = (bitgen.random_raw(m // 2).view(np.uint32) >> 31).reshape(shape)
+    signs = bits.astype(np.float64)
     signs *= 2.0
     signs -= 1.0
     signs *= scale

@@ -11,6 +11,12 @@ reference for the column-wise ``to_csv``.
 ridge-regularized least-absolute-deviation optimum.  It scores every point
 where the minimizer can sit, so it shares no arithmetic with the median
 formula ``doco.environments.LadProblem`` uses.
+
+``dftcl_round`` is one Dftcl round taken a transfer at a time through the
+engine's sender banks, the reference for the engine's span hop.
+``randk_keep_by_argpartition`` and ``signs_by_integers`` are the randk
+keep-mask and sign draws written the direct way, the references for the
+faster draws that give the same bytes.
 """
 
 from __future__ import annotations
@@ -123,3 +129,42 @@ def per_row_csv(trace) -> str:
             row += f",{real(trace.subopt[i])}"
         lines.append(row)
     return "\n".join(lines) + "\n"
+
+
+def dftcl_round(eng, grads: np.ndarray):
+    """Advance the Dftcl engine ``eng`` one round, a transfer at a time: the
+    learners send e + g through ``eng._up.send`` and keep ``e += g - v``,
+    the server sends e_hat + vbar through ``eng._down.send`` and keeps
+    ``e_hat += vbar - s``, and the decision is the leader step on s_sum.
+    Returns (decision played, v, s)."""
+    w_played = eng.decision
+    eng.t += 1
+    v, bits = eng._up.send(eng.e + grads)
+    eng.e += grads - v
+    eng.bits_up += bits[-1]
+    eng.msgs_up += eng.n
+    vbar = np.add.reduce(v, -2) / eng.n
+    s, bits = eng._down.send((eng.e_hat + vbar)[..., None, :])
+    s = s[..., 0, :]
+    eng.e_hat += vbar - s
+    eng.bits_down += bits[-1]
+    eng.msgs_down += 1
+    eng.s_sum += s
+    if eng.mu is None:
+        eng.decision = eng.feasible.project(-(eng.eta / 2.0) * eng.s_sum)
+    else:
+        eng.anchor_sum += w_played
+        eng.decision = eng.feasible.project((eng.mu * eng.anchor_sum - eng.s_sum) / (eng.mu * float(eng.t)))
+    return w_played, v, s
+
+
+def randk_keep_by_argpartition(U: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k entries ``argpartition`` puts first along the last axis of U."""
+    mask = np.zeros(U.shape, dtype=bool)
+    np.put_along_axis(mask, np.argpartition(U, k, axis=-1)[..., :k], True, axis=-1)
+    return mask
+
+
+def signs_by_integers(rng: np.random.Generator, shape: tuple, scale: float) -> np.ndarray:
+    """Coordinates uniform on {-scale, +scale}: (2 * integers(0, 2) - 1) * scale."""
+    return (2.0 * rng.integers(0, 2, size=shape, dtype=np.int32) - 1.0) * scale

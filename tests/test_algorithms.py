@@ -7,6 +7,7 @@ from doco.algorithms import Dftcl, Dftfcl, O2b
 from doco.compressors import Identity, RandK, RandomGossip, ScaledSign, entity_stream
 from doco.domains import Ball, Box, ConfigError
 from doco.environments import make_linear_adversary, make_sc_quadratic_adversary
+from oracles import dftcl_round
 
 
 def linear_env(n=4, d=8, T=400, G=1.0, seed=5):
@@ -506,16 +507,19 @@ class _Recorder:
 
 
 ENGINE_SPECS = [Identity(), RandK(2), ScaledSign(), RandomGossip(0.4)]
+_DFTCL_STATE = ("decision", "e", "e_hat", "s_sum", "bits_up", "bits_down", "msgs_up", "msgs_down", "t")
 
 
 @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=["identity", "randk", "sign", "gossip"])
 @pytest.mark.parametrize("algo", ["dftcl", "dftfcl", "o2b"])
 def test_engine_memories_telescope_and_counters_are_exact(algo, spec):
+    # Dftcl: the reference round (oracles.dftcl_round) telescopes, and the
+    # engine's round leaves every state array as the reference does.
     n, d, L, steps = 3, 5, 3, 60
     fs = Ball(1.0, d)
     grads = np.random.default_rng(3).normal(size=(steps, n, d))
     if algo == "dftcl":
-        eng = Dftcl(fs, n, spec, eta=0.3, seed=4)
+        eng, engine = Dftcl(fs, n, spec, eta=0.3, seed=4), Dftcl(fs, n, spec, eta=0.3, seed=4)
     elif algo == "dftfcl":
         eng = Dftfcl(fs, n, spec, L, eta=0.3, seed=4)
     else:
@@ -526,6 +530,11 @@ def test_engine_memories_telescope_and_counters_are_exact(algo, spec):
     for t in range(1, steps + 1):
         if algo == "o2b":
             eng.step(stub, np.random.default_rng(0))
+        elif algo == "dftcl":
+            dftcl_round(eng, grads[t - 1])
+            engine.round(grads[t - 1])
+            for name in _DFTCL_STATE:
+                assert np.asarray(getattr(engine, name)).tobytes() == np.asarray(getattr(eng, name)).tobytes(), name
         else:
             eng.round(grads[t - 1])
         if algo == "dftfcl":
@@ -621,6 +630,21 @@ def test_engine_parameter_validation():
         Dftfcl(fs, 2, RandK(9), 2, eta=0.1)
     with pytest.raises(ConfigError, match="exceeds dimension"):
         O2b(fs, 2, RandK(9), 2, eta=0.1)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("key", ["eta", "mu"])
+@pytest.mark.parametrize("algo", ["dftcl", "dftfcl", "o2b"])
+def test_engines_reject_a_step_parameter_that_is_not_positive_and_finite(algo, key, value):
+    # An infinite eta or mu would play nan decisions from round 1 on.
+    fs = Ball(1.0, 4)
+    build = {
+        "dftcl": lambda **kw: Dftcl(fs, 2, RandK(2), **kw),
+        "dftfcl": lambda **kw: Dftfcl(fs, 2, RandK(2), 2, **kw),
+        "o2b": lambda **kw: O2b(fs, 2, RandK(2), 2, weights="uniform" if key == "eta" else "linear", **kw),
+    }[algo]
+    with pytest.raises(ConfigError, match=f"^{key}: must be positive and finite"):
+        build(**{key: value})
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doco.compressors import (
     CompressedMessage,
@@ -12,6 +12,7 @@ from doco.compressors import (
     ScaledSign,
     _CHUNK,
     _SenderBank,
+    _k_smallest,
     compress,
     contraction_stat,
     derive_seed,
@@ -21,6 +22,7 @@ from doco.compressors import (
     parse_compressor,
 )
 from doco.domains import ConfigError
+from oracles import randk_keep_by_argpartition
 
 
 def rng(seed=0):
@@ -84,6 +86,20 @@ def test_spec_validation():
 def test_nominal_delta_rejects_what_is_not_a_spec(spec):
     with pytest.raises(ConfigError, match="^compressor: unknown compressor"):
         nominal_delta(spec, 4)
+
+
+@pytest.mark.parametrize("x", [np.ones((2, 3)), [1.0, np.nan, 2.0], [np.inf, 0.0], [[1.0]]], ids=["2d", "nan", "inf", "1x1"])
+@pytest.mark.parametrize("spec", [Identity(), RandK(1), ScaledSign(), RandomGossip(0.5)])
+def test_compress_and_fcc_reject_what_is_not_a_finite_vector(spec, x):
+    with pytest.raises(ConfigError, match="^x: "):
+        compress(spec, x, rng())
+    with pytest.raises(ConfigError, match="^x: "):
+        fcc(x, spec, 3, rng())
+
+
+def test_compress_takes_a_scalar_as_a_one_dimensional_vector():
+    msg = compress(Identity(), 2.5, rng())
+    assert msg.payload.tolist() == [2.5] and msg.bits == 64
 
 
 def test_parse_and_label_round_trip():
@@ -401,3 +417,39 @@ def test_public_compress_and_fcc_match_the_reference(case, seed, calls, L):
         np.testing.assert_array_equal(r, ref)
     # Both streams gave the same number of draws, so their next draws agree.
     assert public.random() == oracle.random()
+
+
+@st.composite
+def _uniforms_with_ties(draw):
+    """Uniforms of shape (*rows, d), a k in [1, d), and the rows whose (k+1)-th
+    smallest is set to their k-th: a tie at the k-th smallest."""
+    shape = draw(st.sampled_from([(1,), (5,), (3, 4), (2, 3, 2)]))
+    d = draw(st.integers(2, 12))
+    k = draw(st.integers(1, d - 1))
+    U = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape + (d,))
+    for row in draw(st.lists(st.sampled_from(list(np.ndindex(shape))), max_size=3)):
+        order = np.argsort(U[row])
+        U[row + (order[k],)] = U[row + (order[k - 1],)]
+    return U, k
+
+
+_TIED = np.array([[0.5, 0.1, 0.3, 0.3, 0.9], [0.2, 0.8, 0.4, 0.6, 0.1]])  # row 0: the 2nd and 3rd smallest tie
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_uniforms_with_ties())
+@example(case=(_TIED, 2)).via("a tie: the argpartition fallback")
+@example(case=(_TIED, 3)).via("no tie at the k-th: the partition threshold")
+def test_randk_keep_mask_equals_argpartition_also_at_ties(case):
+    # The keep-mask is what is at most the k-th smallest uniform; a tie there
+    # would keep more than k coordinates, so the draw falls back to
+    # argpartition.
+    U, k = case
+    ref = randk_keep_by_argpartition(U, k)
+    assert _k_smallest(U, k).tobytes() == ref.tobytes()
+    assert np.all(ref.sum(axis=-1) == k)
+
+
+def test_the_tied_example_reaches_the_fallback():
+    assert np.count_nonzero(_TIED <= np.partition(_TIED, 1, axis=-1)[..., 1:2]) == 5  # not 2 * 2
+    assert np.count_nonzero(_TIED <= np.partition(_TIED, 2, axis=-1)[..., 2:3]) == 6  # 2 * 3

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doco.domains import Ball, Box, ConfigError, Quadratic, best_in_hindsight
 from doco.environments import (
@@ -16,7 +16,8 @@ from doco.environments import (
     make_sc_lower_bound_env,
     make_sc_quadratic_adversary,
 )
-from oracles import BlackBoxLoss, lad_regularized_optimum, minimize_convex
+from doco.environments import _signs
+from oracles import BlackBoxLoss, lad_regularized_optimum, minimize_convex, signs_by_integers
 
 
 # ---------------------------------------------------------------------------
@@ -667,3 +668,34 @@ def test_streamed_grads_in_any_order(kind):
     for order in (range(1, T + 1), range(T, 0, -1), shuffled, [1, 600, 2, 599, 300, 300, T, 1]):
         for t in order:
             assert _same(env.grads(int(t), w), full.grads(int(t), w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(0, 7), min_size=1, max_size=3).map(tuple),
+    half=st.booleans(),
+    pcg=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(4, 6), half=False, pcg=True, seed=0).via("raw 64-bit words")
+@example(shape=(3, 5), half=False, pcg=True, seed=1).via("fallback: an odd count")
+@example(shape=(4, 6), half=True, pcg=True, seed=2).via("fallback: a buffered half word")
+@example(shape=(4, 6), half=False, pcg=False, seed=3).via("fallback: not a PCG64 stream")
+def test_sign_draw_equals_integers_and_leaves_the_stream_alike(shape, half, pcg, seed):
+    # _signs reads the top bits of raw 64-bit words where that gives the
+    # values of integers(0, 2); the stream must end where integers leaves it.
+    def stream():
+        rng = np.random.Generator(np.random.PCG64(seed) if pcg else np.random.MT19937(seed))
+        if half:
+            rng.integers(0, 2, dtype=np.int32)  # one 32-bit draw, the other half kept
+        return rng
+
+    new, old = stream(), stream()
+    assert _signs(new, shape, 0.3).tobytes() == signs_by_integers(old, shape, 0.3).tobytes()
+    if pcg:
+        a, b = new.bit_generator.state, old.bit_generator.state
+        assert a["state"] == b["state"] and a["has_uint32"] == b["has_uint32"] == (half != math.prod(shape) % 2)
+        if a["has_uint32"]:  # a buffered half word is the next 32-bit draw
+            assert a["uinteger"] == b["uinteger"]
+    assert new.integers(0, 2**31, size=3, dtype=np.int32).tobytes() == old.integers(0, 2**31, size=3, dtype=np.int32).tobytes()
+    assert new.random(3).tobytes() == old.random(3).tobytes()

@@ -22,7 +22,7 @@ from doco.harness import (
     run,
     verify_lemma,
 )
-from oracles import BlackBoxLoss, minimize_convex, per_row_csv
+from oracles import BlackBoxLoss, dftcl_round, minimize_convex, per_row_csv
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +412,12 @@ _ENGINE_STATE = ("decision", "e", "e_hat", "s_sum", "anchor_sum", "bits_up", "bi
 @given(data=st.data())
 def test_engine_spans_equal_round_by_round(algo, step, data):
     # advance over any split of the rounds plays the decisions, counts the
-    # bits and leaves every state array as round after round does.  Rows that
+    # bits and leaves every state array as round after round does: Dftcl's
+    # reference round (oracles.dftcl_round), Dftfcl's round.  Rows that
     # depend on the decision come in the spans the driver gives them: one
-    # round (Dftcl) or up to the block's end (Dftfcl).  Whole learner rows
-    # of -0.0 pin the signs of zero sums.
+    # round (Dftcl) or up to the block's end (Dftfcl).  A one-round span
+    # goes through round every other time.  Whole learner rows of -0.0 pin
+    # the signs of zero sums.
     cfg, seeds, cuts, zero_share = data.draw(_span_case(algo))
     plans = [harness._resolve(replace(cfg, seed=s, eta=0.05 if step == "eta" else None)) for s in seeds]
     if step == "mu":
@@ -437,7 +439,10 @@ def test_engine_spans_equal_round_by_round(algo, step, data):
     W, up, down, states = [], [], [], {}
     for t in range(T):
         W.append(stepped.decision)
-        stepped.round(grads(t, 1, stepped.decision)[0])
+        if algo == "dftcl":
+            dftcl_round(stepped, grads(t, 1, stepped.decision)[0])
+        else:
+            stepped.round(grads(t, 1, stepped.decision)[0])
         up.append(np.array(stepped.bits_up))  # in lockstep, arrays the engine adds to in place
         down.append(np.array(stepped.bits_down))
         states[t + 1] = [np.asarray(getattr(stepped, name)).tobytes() for name in names]
@@ -446,7 +451,12 @@ def test_engine_spans_equal_round_by_round(algo, step, data):
         t = a
         while t < b:
             k = b - t if env._ignores_decision else min(spanned.L - spanned.t % spanned.L, b - t)
-            played, bits_up, bits_down = spanned.advance(grads(t, k, spanned.decision))
+            if k == 1 and t % 2:
+                played = (spanned.round(grads(t, 1, spanned.decision)[0]).w_played[None],)
+                played += (np.asarray(spanned.bits_up)[None], np.asarray(spanned.bits_down)[None])
+            else:
+                played = spanned.advance(grads(t, k, spanned.decision))
+            played, bits_up, bits_down = played
             for j in range(k):
                 assert played[j].tobytes() == W[t + j].tobytes(), ("decision", t + j)
                 assert bits_up[j].tobytes() == up[t + j].tobytes()
