@@ -177,12 +177,11 @@ class Dftcl(_Engine):
     ):
         super().__init__(feasible, n, spec, Identity() if unidirectional else spec, 1, eta, mu, seed)
         self._span = None  # the hop's buffers, see _buffers
-        self._one = self._span_out(1, None)  # round's broadcast and counters
 
     def round(self, grads: np.ndarray) -> RoundInfo:
         """Advance one round given the (n, d) per-learner gradients at the
         played decision: a span of one row."""
-        w_played, (S, bits_up, bits_down) = self.decision, self._one
+        w_played, (S, bits_up, bits_down) = self.decision, self._span_out(1, None)
         v = self._scan(grads[None], S, bits_up, bits_down)[0].copy()
         s = S[0].copy()
         self._play(S)
@@ -245,14 +244,13 @@ class Dftcl(_Engine):
         In the learning-rate mode one cumulative sum carried from s_sum gives
         the s_sum rows, and one row-wise projection the decisions: the bits of
         ``s_sum += s`` and a leader step round after round.  The strongly
-        convex step anchors each decision at the one before, so that mode, and
-        a span of one round, step round after round."""
-        if self.mu is not None or len(W) == 1:
+        convex step anchors each decision at the one before, so that mode
+        steps round after round."""
+        if self.mu is not None:
             t = self.t - len(W)
             for j, s in enumerate(W):
                 self.s_sum += s
-                if self.mu is not None:
-                    self.anchor_sum += self.decision
+                self.anchor_sum += self.decision
                 s[...] = self.decision
                 self._lead(self.mu, float(t + j + 1))
             return

@@ -224,7 +224,6 @@ class _SenderBank:
         self._keep: np.ndarray | None = None  # drawn on first use, never at construction
         self._uniforms: np.ndarray | None = None  # randk: the chunk's uniforms, (stream, call, coordinate)
         self._bits = None  # gossip: each transfer's bits after j calls, per replication
-        self._all_true = None  # identity and randk with k = d: the keep-mask, built on first use
         self._delivered = None  # take's bits where every message is delivered, built on first use
         self._used = self._per_chunk  # transfers served from the current chunk
 
@@ -260,9 +259,7 @@ class _SenderBank:
         if not self._draws:
             if self._sign:
                 return None, None
-            if self._all_true is None or len(self._all_true) < k:
-                self._all_true = np.broadcast_to(True, (max(k, self._per_chunk),) + self._shape + (self.d,))
-            return self._all_true[:k], None
+            return np.broadcast_to(True, (k,) + self._shape + (self.d,)), None
         i = self._used
         if i + k <= self._per_chunk:  # the drawn chunk holds them
             self._used += k
@@ -292,7 +289,7 @@ class _SenderBank:
         keep, spent = self._serve(k)
         if spent is not None:
             return keep, spent
-        if self._delivered is None or len(self._delivered) < k:
+        if self._delivered is None or len(self._delivered) < k:  # a broadcast per call costs ~5 us
             lead = self._shape[:-1]
             spent = np.array(self._spent).reshape((self.rounds + 1,) + (1,) * len(lead))
             self._delivered = np.broadcast_to(spent, (max(k, self._per_chunk), self.rounds + 1) + lead)
