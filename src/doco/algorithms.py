@@ -53,7 +53,7 @@ from .compressors import (
     _SenderBank,
     entity_stream,
 )
-from .domains import ConfigError, FeasibleSet
+from .domains import ConfigError, FeasibleSet, _require_positive_int
 
 __all__ = ["Dftcl", "Dftfcl", "O2b", "RoundInfo", "UpdateInfo"]
 
@@ -104,11 +104,8 @@ class _Engine:
             raise ConfigError("eta", f"must be positive and finite, got {eta}")
         if mu is not None and not 0.0 < mu < math.inf:
             raise ConfigError("mu", f"must be positive and finite, got {mu}")
-        if n < 1:
-            raise ConfigError("n", f"must be >= 1, got {n}")
-        if L < 1:
-            raise ConfigError("L", f"must be >= 1, got {L}")
-        self.feasible, self.n, self.d, self.L = feasible, n, feasible.d, L
+        self.n, self.L = _require_positive_int("n", n), _require_positive_int("L", L)
+        self.feasible, self.d = feasible, feasible.d
         self.spec, self.server_spec = spec, server_spec
         self.eta, self.mu = eta, mu
         seeds, lead = (seed, (len(seed),)) if isinstance(seed, tuple) else ((seed,), ())

@@ -237,6 +237,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _numbers(key: str, text: str) -> list[float]:
+    """The comma-separated numbers of ``text``, given as ``key``."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(key, f"cannot parse value {text!r}") from exc
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.csv:
         if not (args.x and args.y):
@@ -254,8 +262,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         xs = np.atleast_1d(data[args.x])
         ys = np.atleast_1d(data[args.y])
     elif args.xs and args.ys:
-        xs = [float(v) for v in args.xs.split(",")]
-        ys = [float(v) for v in args.ys.split(",")]
+        xs, ys = (_numbers(key, getattr(args, key)) for key in ("xs", "ys"))
     else:
         raise ConfigError("fit", "provide --xs and --ys, or --csv with --x and --y")
     try:

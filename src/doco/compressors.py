@@ -7,9 +7,9 @@ residual for L rounds (``fcc``) drives the squared error down to
 (randk, gossip) the loop has a closed form: the receiver ends up holding
 exactly the coordinates that any of the L calls kept, ``where(m_1 | ... | m_L,
 x, 0.0) + 0.0`` for L >= 2 (the ``+ 0.0`` is the loop's: its later rounds turn
-a kept ``-0.0`` into ``+0.0``).  The engines' sender banks send that way; it
-equals the loop bit for bit on finite inputs, and :func:`fcc` keeps the loop,
-since it returns the L messages.
+a kept ``-0.0`` into ``+0.0``).  The engines' sender banks and
+:func:`contraction_stat` send that way; it equals the loop bit for bit on
+finite inputs, and :func:`fcc` keeps the loop, since it returns the L messages.
 
 Bit costs are a declared model, not a wire measurement: reals cost 64 bits,
 transmitted coordinate indices cost ceil(log2 d) bits, a sign costs one bit,
@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .domains import ConfigError, as_decision
+from .domains import ConfigError, _require_positive_int, as_decision
 
 __all__ = [
     "Identity",
@@ -147,8 +147,7 @@ class CompressedMessage:
 
 def nominal_delta(spec: CompressorSpec, d: int) -> float:
     """Contraction factor of the compressor in ambient dimension d."""
-    if d < 1:
-        raise ConfigError("d", f"must be >= 1, got {d}")
+    _require_positive_int("d", d)
     if not isinstance(spec, CompressorSpec):
         raise ConfigError("compressor", f"unknown compressor {spec!r}")
     return spec.delta(d)
@@ -176,18 +175,25 @@ class _SenderBank:
     ``shape`` lays the senders out as payload rows: ``(n,)`` for the n senders
     of one replication, ``(R, n)`` for R replications advanced in lockstep, with
     ``rngs`` listed replication by replication (default: one row per stream).
-    ``take(k)`` serves the next k transfers, each the ``rounds``-round
-    residual compression of one row per sender with that sender's stream,
-    ``rounds`` compressor calls per sender: their keep-masks and bits.
-    ``send(X)`` makes one transfer of X, shape ``shape + (d,)``.
+    A transfer is the ``rounds``-round residual compression of one row per
+    sender with that sender's stream, ``rounds`` compressor calls per sender.
+    ``take(k)`` serves the next k transfers, their keep-masks and bits, and is
+    the one way the bank serves: ``send(X)`` makes one transfer of X, shape
+    ``shape + (d,)``, with ``take(1)``.
 
-    Compressor randomness never depends on the data, so the bank draws it for
-    ``max(1, chunk // rounds)`` transfers at a time with one block draw per
-    stream: ``random((C, d))`` for randk and ``random(C)`` for gossip return
-    the same numbers as C per-call draws.  Engines draw about ``_CHUNK`` calls
-    at a time, and :func:`fcc` (L one-call transfers; :func:`compress` is one)
-    runs a bank of one sender whose chunk is its L calls, so payloads and bits
-    equal those of :func:`compress` and :func:`fcc` on each row with its
+    Every compressor is served from a chunk of ``max(1, chunk // rounds)``
+    transfers, held as two arrays: each transfer's keep-mask and its bits after
+    j calls.  Compressor randomness never depends on the data, so randk with
+    k < d and gossip redraw their chunk with one block draw per stream:
+    ``random((C, d))`` for randk and ``random(C)`` for gossip return the same
+    numbers as C per-call draws.  The rest never change, so they are
+    broadcasts built once: identity's and full randk's all-true mask, and the
+    bits of a transfer whose messages are all delivered (every spec's but
+    gossip's).  The scaled sign has no mask.  Engines draw about ``_CHUNK``
+    calls at a time.  :func:`fcc` (L one-call transfers; :func:`compress` is
+    one) runs a bank of one sender whose chunk is its L calls, and
+    :func:`contraction_stat` one whose chunk is one L-call transfer, so
+    payloads and bits equal those of the residual loop on each row with its
     stream, call after call.
 
     A masking compressor (randk, gossip) needs no residual loop.  Each call
@@ -215,21 +221,22 @@ class _SenderBank:
         nominal_delta(spec, d)  # validates spec vs dimension
         self.spec, self.d, self.rngs, self.rounds = spec, d, rngs, rounds
         self._shape = (len(rngs),) if shape is None else shape
-        self._gossip, self._sign = isinstance(spec, RandomGossip), isinstance(spec, ScaledSign)
-        self._msg_bits = spec.message_bits(d)  # gossip: a delivered message's
-        call_bits = self._shape[-1] * self._msg_bits  # one call, every message delivered
-        self._spent = tuple(j * call_bits for j in range(rounds + 1))  # a transfer's bits after j calls
+        self._gossip = isinstance(spec, RandomGossip)
         self._draws = self._gossip or (isinstance(spec, RandK) and spec.k < d)
+        self._msg_bits = spec.message_bits(d)  # gossip: a delivered message's
         self._per_chunk = max(1, chunk // rounds)  # transfers whose randomness one draw takes
-        self._keep: np.ndarray | None = None  # drawn on first use, never at construction
         self._uniforms: np.ndarray | None = None  # randk: the chunk's uniforms, (stream, call, coordinate)
-        self._bits = None  # gossip: each transfer's bits after j calls, per replication
-        self._delivered = None  # take's bits where every message is delivered, built on first use
+        # The chunk: keep-masks (transfer, *shape, d or 1), None for the sign,
+        # and bits after j calls (transfer, j, *lead).  Randk and gossip draw
+        # theirs on first use, never at construction.
+        calls = np.arange(rounds + 1, dtype=np.int64).reshape((-1,) + (1,) * (len(self._shape) - 1))
+        self._bits = np.broadcast_to(calls * self._shape[-1] * self._msg_bits, (self._per_chunk, rounds + 1) + self._shape[:-1])
+        self._keep = None if isinstance(spec, ScaledSign) else np.broadcast_to(True, (self._per_chunk,) + self._shape + (d,))
         self._used = self._per_chunk  # transfers served from the current chunk
 
     def _draw_chunk(self) -> None:
-        """Each transfer's union keep-mask for the next chunk, indexed
-        (transfer, *shape, coordinate), and for gossip its bits after j calls."""
+        """Each transfer's union keep-mask for the next chunk, and for gossip
+        its bits after j calls."""
         spec, calls = self.spec, self._per_chunk * self.rounds
         by_call = (self._per_chunk, self.rounds) + self._shape
         if self._gossip:
@@ -253,47 +260,32 @@ class _SenderBank:
             mask = np.logical_or.reduce(mask.reshape(len(self.rngs), self._per_chunk, self.rounds, self.d), axis=2)
         self._keep = mask.transpose(1, 0, 2).reshape((self._per_chunk,) + self._shape + (self.d,))
 
-    def _serve(self, k: int):
-        """Serve the next k >= 1 transfers: their keep-masks (None for the
-        scaled sign) and, for gossip, their bits after j calls (else None)."""
-        if not self._draws:
-            if self._sign:
-                return None, None
-            return np.broadcast_to(True, (k,) + self._shape + (self.d,)), None
+    def take(self, k: int):
+        """The next k >= 1 transfers: their keep-masks, (k, *shape, d) (gossip:
+        (k, *shape, 1); None for the scaled sign), and their int64 bits after
+        j = 0..rounds calls, (k, rounds + 1, *lead) with ``lead = shape[:-1]``:
+        what one replication's senders spent, which differs between
+        replications only for gossip.  Both are views of the bank's own arrays,
+        not to be written, but where the k transfers span two chunks."""
         i = self._used
-        if i + k <= self._per_chunk:  # the drawn chunk holds them
+        if i + k <= self._per_chunk:  # the current chunk holds them
             self._used += k
-            return self._keep[i : i + k], (self._bits[i : i + k] if self._gossip else None)
-        keep, spent = [], []
+            return (None if self._keep is None else self._keep[i : i + k]), self._bits[i : i + k]
+        keep, bits = [], []
         while k:
             if self._used == self._per_chunk:
-                self._draw_chunk()
+                if self._draws:
+                    self._draw_chunk()
                 self._used = 0
             i = self._used
             m = min(k, self._per_chunk - i)
-            keep.append(self._keep[i : i + m])
-            spent.append(self._bits[i : i + m] if self._gossip else None)
+            keep.append(None if self._keep is None else self._keep[i : i + m])
+            bits.append(self._bits[i : i + m])
             self._used += m
             k -= m
-        if len(keep) == 1:
-            return keep[0], spent[0]
-        return np.concatenate(keep), (np.concatenate(spent) if self._gossip else None)
-
-    def take(self, k: int):
-        """The next k >= 1 transfers: their keep-masks, (k, *shape, d), None
-        for the scaled sign, and their bits after j = 0..rounds calls, (k,
-        rounds + 1, *lead) with ``lead = shape[:-1]``: what one replication's
-        senders spent, which differs between replications only for gossip.
-        Both are views of the bank's own arrays, not to be written, but where
-        the k transfers span two chunks."""
-        keep, spent = self._serve(k)
-        if spent is not None:
-            return keep, spent
-        if self._delivered is None or len(self._delivered) < k:  # a broadcast per call costs ~5 us
-            lead = self._shape[:-1]
-            spent = np.array(self._spent).reshape((self.rounds + 1,) + (1,) * len(lead))
-            self._delivered = np.broadcast_to(spent, (max(k, self._per_chunk), self.rounds + 1) + lead)
-        return keep, self._delivered[:k]
+        if len(bits) == 1:
+            return keep[0], bits[0]
+        return (None if keep[0] is None else np.concatenate(keep)), np.concatenate(bits)
 
     def scaled_sign(self, Y: np.ndarray) -> np.ndarray:
         """The scaled sign of each row of Y."""
@@ -304,9 +296,9 @@ class _SenderBank:
         """One transfer of X.  Returns (R, bits): R the receivers'
         reconstructions, and ``bits[j]`` what one replication's senders spent
         on the transfer's first j calls, j = 0..rounds, so ``bits[-1]`` is the
-        transfer's total: an int, or for gossip in lockstep an int array with
-        one entry per replication, since their failed messages differ."""
-        keep, spent = self._serve(1)
+        transfer's total: a list of ints for one replication, in lockstep an
+        int array with one entry per replication."""
+        keep, bits = self.take(1)
         if keep is None:
             R = self.scaled_sign(X)
             for _ in range(self.rounds - 1):
@@ -315,9 +307,7 @@ class _SenderBank:
             R = np.where(keep[0], X, 0.0)
             if self.rounds > 1:
                 R += 0.0
-        if spent is None:
-            return R, self._spent
-        return R, spent[0] if len(self._shape) > 1 else spent[0].tolist()
+        return R, bits[0] if len(self._shape) > 1 else bits[0].tolist()
 
 
 def compress(spec: CompressorSpec, x, rng: np.random.Generator) -> CompressedMessage:
@@ -341,8 +331,7 @@ def fcc(
     returned.  This loop is the reference the engines' L-round transfers are
     tested against.
     """
-    if L < 1:
-        raise ConfigError("L", f"must be >= 1, got {L}")
+    _require_positive_int("L", L)
     v = as_decision(x, field="x")
     bank = _SenderBank(spec, v.shape[0], [rng], chunk=L)
     r = np.zeros(v.shape[0])
@@ -364,16 +353,17 @@ def contraction_stat(
     """Monte Carlo estimate of E ||r - x||^2 / ||x||^2 for the L-round loop.
 
     Inputs are standard normal vectors normalized to unit norm, so the ratio
-    is just the squared residual error.  Returns (mean, standard error).
+    is just the squared residual error.  Returns (mean, standard error).  Each
+    trial is one L-round transfer of a one-sender bank whose chunk is that
+    transfer: the draws and reconstruction of :func:`fcc` on x with ``rng``.
     """
-    if trials < 1:
-        raise ConfigError("trials", f"must be >= 1, got {trials}")
-    ratios = np.empty(trials)
+    bank = _SenderBank(spec, d, [rng], rounds=_require_positive_int("L", L), chunk=L)
+    ratios = np.empty(_require_positive_int("trials", trials))
     for i in range(trials):
         x = rng.standard_normal(d)
         x /= np.linalg.norm(x)
-        r, _ = fcc(x, spec, L, rng)
-        ratios[i] = float(((r - x) ** 2).sum())
+        r, _ = bank.send(x[None])
+        ratios[i] = float(((r[0] - x) ** 2).sum())
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

@@ -42,6 +42,18 @@ class ConfigError(ValueError):
         return type(self), (self.field, self.message)
 
 
+def _require_positive_int(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int, else a ConfigError naming ``name``: it must be an
+    integer (not a bool) of at least ``minimum``."""
+    if value is None:
+        raise ConfigError(name, "required")
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(name, f"must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def as_decision(x, d: int | None = None, field: str = "vector") -> np.ndarray:
     """Coerce ``x`` to a finite 1-D float64 vector, optionally of dimension d."""
     v = np.asarray(x, dtype=np.float64)
@@ -96,8 +108,7 @@ class Ball:
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ConfigError("set", f"ball radius must be positive, got {self.radius}")
-        if self.d < 1:
-            raise ConfigError("set", f"dimension must be >= 1, got {self.d}")
+        _require_positive_int("set", self.d)
 
     def diameter(self) -> float:
         return 2.0 * self.radius

@@ -42,6 +42,7 @@ from .domains import (
     Box,
     ConfigError,
     FeasibleSet,
+    _require_positive_int,
     Quadratic,
     best_in_hindsight,
 )
@@ -173,16 +174,6 @@ class _Plan:
     L: int | None
     K: int | None
     env: object
-
-
-def _require_positive_int(name: str, value, minimum: int = 1) -> int:
-    if value is None:
-        raise ConfigError(name, "required")
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ConfigError(name, f"must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(name, f"must be >= {minimum}, got {value}")
-    return int(value)
 
 
 def _resolve(cfg: RunConfig) -> _Plan:

@@ -228,6 +228,17 @@ def test_config_parse_errors():
         _convert("eta", "fast")
 
 
+def test_config_file_bools_comments_and_bad_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# a comment-only line\nunidirectional = false  # trailing comment\n")
+    assert parse_config_file(str(path)) == {"unidirectional": False}
+    for text, key in (("unidirectional = maybe\n", "unidirectional"), ("T 100\n", "config")):
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            parse_config_file(str(path))
+        assert err.value.field == key
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -433,6 +444,12 @@ def test_fit_non_finite_values_exit_two(xs, ys, capfd):
         (["run", "--T", "8", "--out", "missing/x.csv"], "out"),
         (["run", "--T", "8", "--out", "."], "out"),
         (["sweep", "--T-grid", "8,16", "--out", "missing/x.csv"], "out"),
+        (["run", "--T", "8"], "out"),
+        (["sweep", "--out", "x.csv"], "T_grid"),
+        (["fit", "--csv", "data.csv"], "fit"),
+        (["fit", "--csv", "data.csv", "--x", "T"], "fit"),
+        (["fit"], "fit"),
+        (["fit", "--xs", "1,2,3"], "fit"),
     ],
 )
 def test_input_file_errors_name_their_key(command, key, tmp_path, monkeypatch, capsys):
@@ -462,6 +479,14 @@ def test_fit_unparsable_csv_exits_two_naming_csv(text, reason, tmp_path, monkeyp
     out, err = capfd.readouterr()
     assert out == ""
     assert err == f"configuration error - csv: {reason}\n"  # one line: no traceback, no numpy warning
+
+
+@pytest.mark.parametrize("xs,ys,key", [("1,a,3", "1,2,3", "xs"), ("1,2,3", "1,,3", "ys")])
+def test_fit_non_number_exits_two_naming_its_key(xs, ys, key, capfd):
+    assert main(["fit", "--xs", xs, "--ys", ys]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == f"configuration error - {key}: cannot parse value {xs if key == 'xs' else ys!r}\n"
 
 
 def test_fit_bad_input_is_config_error(capsys):

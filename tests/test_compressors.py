@@ -342,6 +342,32 @@ def test_bank_fcc_matches_public_fcc(spec):
         assert bits == [0] * L
 
 
+TAKE_SPECS = [Identity(), ScaledSign(), RandK(3), RandK(8), RandomGossip(0.4)]  # d = 8: k < d and k = d
+
+
+@pytest.mark.parametrize("spec", TAKE_SPECS, ids=lambda s: s.label())
+@pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=["one", "lockstep"])
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_take_equals_transfers_taken_one_at_a_time(spec, shape, rounds):
+    # Sizes straddle chunk boundaries, and two exceed a whole chunk.
+    d, chunk = 8, 12
+    p = max(1, chunk // rounds)
+    rows = list(np.ndindex(shape))
+    bank, single = (_SenderBank(spec, d, [entity_stream(5, *row) for row in rows], shape, rounds, chunk) for _ in range(2))
+    for k in (1, p - 1 or 1, 2, p + 1, 3, 2 * p + 3, 1, p):
+        keep, bits = bank.take(k)
+        ones = [single.take(1) for _ in range(k)]
+        assert bits.dtype == np.int64 and bits.shape == (k, rounds + 1) + shape[:-1]
+        assert not bits[:, 0].any()
+        assert np.ascontiguousarray(bits).tobytes() == np.concatenate([b for _, b in ones]).tobytes()
+        if isinstance(spec, ScaledSign):
+            assert keep is None and all(m is None for m, _ in ones)
+        else:
+            width = 1 if isinstance(spec, RandomGossip) else d  # gossip keeps or drops a whole row
+            assert keep.dtype == bool and keep.shape == (k,) + shape + (width,)
+            assert np.ascontiguousarray(keep).tobytes() == np.concatenate([m for m, _ in ones]).tobytes()
+
+
 @st.composite
 def _transfer_case(draw):
     """A spec, a transfer length, a chunk, a sender layout, and the inputs of

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doco.algorithms import Dftcl, Dftfcl, O2b
+from doco.compressors import RandK, contraction_stat, fcc, nominal_delta
 from doco.domains import (
     Ball,
     Box,
@@ -387,3 +389,24 @@ def test_minimize_convex_nonsmooth():
     point, value = minimize_convex(box, loss, tol=1e-6, max_iter=20000)
     assert value <= 1e-3
     assert abs(float(point[0]) - 0.3) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda: Dftcl(Ball(1.0, 4), 2.0, RandK(2), eta=0.1), "n"),
+        (lambda: Dftfcl(Ball(1.0, 4), 2, RandK(2), 2.5, eta=0.1), "L"),
+        (lambda: O2b(Ball(1.0, 4), 2, RandK(2), True, eta=0.1), "L"),
+        (lambda: fcc(np.ones(4), RandK(2), 2.5, np.random.default_rng(0)), "L"),
+        (lambda: contraction_stat(RandK(2), 2, 4, 2.5, np.random.default_rng(0)), "trials"),
+        (lambda: contraction_stat(RandK(2), 0, 4, 3, np.random.default_rng(0)), "L"),
+        (lambda: nominal_delta(RandK(2), 2.5), "d"),
+        (lambda: Ball(1.0, 2.5), "set"),
+        (lambda: Ball(1.0, 0), "set"),
+    ],
+    ids=["dftcl_n", "dftfcl_L", "o2b_L", "fcc_L", "trials", "contraction_L", "nominal_d", "ball_d", "ball_d0"],
+)
+def test_sizes_must_be_positive_integers(make, field):
+    with pytest.raises(ConfigError) as err:
+        make()
+    assert err.value.field == field

@@ -202,8 +202,10 @@ def test_odd_L_monte_carlo_trace_bytes(workers, tmp_path):
 
 # sha256 of ``repr`` of each check's report.  17 seeds make two lockstep
 # batches (9 + 8); randk:3 at d=16 gives L = 6, so T = 2000 ends inside a block.
-# The fcc_contraction rows go through the public ``compress`` and ``fcc``: the
+# The fcc_contraction rows go through a one-sender bank's L-round transfer: the
 # default check as ``doco verify`` runs it, and each other compressor kind.
+# ``fcc`` itself stays pinned by test_bank_transfer_is_per_row_fcc_bit_for_bit
+# and test_public_compress_and_fcc_match_the_reference.
 VERIFY = {
     "fcc_contraction/randk:8/5000": lambda: harness.verify_fcc_contraction(),
     "fcc_contraction/randk:3/300": lambda: harness.verify_fcc_contraction(trials=300, spec=parse_compressor("randk:3")),

@@ -53,8 +53,13 @@ def test_missing_horizon_names_the_field():
         (dict(T=100, algo="o2b"), "env"),
         (dict(T=100, env="sc_lower", mu=1.0, G=2.0), "G"),
         (dict(T=2, algo="o2b", env="lad", compressor="randk:1", d=4, L=4), "T"),
+        (dict(T=64, algo="o2b", env="lad", compressor="randk:1", d=4, L=4, weights="linear"), "mu"),
+        (dict(T=64, algo="o2b", env="lad", compressor="randk:1", d=4, L=4, weights="linear", mu=0.1, eta=0.1), "eta"),
         (dict(T=100, feasible="ball:1", d=4, D=3.0), "D"),
         (dict(T=100, feasible="cube:1"), "set"),
+        (dict(T=100, feasible="box:a:1"), "set"),
+        (dict(T=100, feasible="box:1:2"), "set"),
+        (dict(T=100, feasible=Ball(1.0, 3), d=4), "set"),
         (dict(T=100, env="convex_lower", feasible="ball:1"), "set"),
         (dict(T=100, compressor=42), "compressor"),
         (dict(T=100, compressor=object()), "compressor"),
@@ -68,6 +73,11 @@ def test_config_errors_name_offending_field(bad, field):
     with pytest.raises(ConfigError) as err:
         run(RunConfig(**bad))
     assert err.value.field == field
+
+
+def test_non_uniform_box_has_no_label():
+    with pytest.raises(ConfigError, match="^set: only uniform boxes"):
+        harness.set_label(Box(-np.ones(2), np.array([1.0, 2.0])))
 
 
 def test_parse_set():
