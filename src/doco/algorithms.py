@@ -12,8 +12,8 @@ rounds at a time (``advance``) or, through the public API, round by round
   while block gradients accumulate, and each transfer is spread over the L
   rounds of the following block as a recursive residual compression.  Updates
   therefore lag two blocks behind the gradients they consume.  A transfer's
-  content is fixed at the block boundary, so it is sent there, whole; its
-  bits are counted round by round, one compressor call per round.
+  content is fixed at the block boundary, so it is sent there, whole, and a
+  span's bit counters are a slice of its bits after each call.
 * :class:`O2b` - anytime online-to-batch driver for stochastic problems:
   queries subgradients at the running weighted average of the online decisions
   and feeds weighted surrogate losses to the online update; each update's
@@ -117,8 +117,7 @@ class _Engine:
         self.anchor_sum = np.zeros(lead + (self.d,))
         self.bits_up = np.zeros(lead, dtype=np.int64) if lead else 0
         self.bits_down = np.zeros(lead, dtype=np.int64) if lead else 0
-        self.msgs_up = 0  # per replication: every replication sends the same messages
-        self.msgs_down = 0
+        self.msgs_up = self.msgs_down = 0  # per replication: every replication sends the same messages
         up = [entity_stream(s, _LEARNER, i) for s in seeds for i in range(n)]
         self._up = _SenderBank(spec, self.d, up, lead + (n,), rounds=L)
         down = [entity_stream(s, _SERVER, 0) for s in seeds]
@@ -133,6 +132,12 @@ class _Engine:
             self.decision = self.feasible.project(-(self.eta / 2.0) * self.s_sum)
         else:
             self.decision = self.feasible.project((mu * self.anchor_sum - self.s_sum) / (mu * weight_total))
+
+    def _check(self, grads, span: bool = False):
+        """``grads`` if it is a round's (*lead, n, d) rows (a span's k of them), else ConfigError."""
+        if grads.shape[span:] != self.e.shape:
+            raise ConfigError("grads", f"must be {'k rows of ' * span}shape {self.e.shape}, got {grads.shape}")
+        return grads
 
     def _learner_mean(self, v: np.ndarray) -> np.ndarray:
         """Mean over the learner axis; ``v.mean(axis=-2)`` gives the same bits
@@ -179,8 +184,7 @@ class Dftcl(_Engine):
         """Advance one round given the (n, d) per-learner gradients at the
         played decision: a span of one row."""
         w_played, (S, bits_up, bits_down) = self.decision, self._span_out(1, None)
-        v = self._scan(grads[None], S, bits_up, bits_down)[0].copy()
-        s = S[0].copy()
+        v, s = self._scan(self._check(grads)[None], S, bits_up, bits_down)[0].copy(), S[0].copy()
         self._play(S)
         return RoundInfo(w_played, v, s)
 
@@ -193,7 +197,7 @@ class Dftcl(_Engine):
         cannot know yet: the rows of a loss whose gradient ignores the
         decision, or one row.  The span hops first, parking each broadcast in
         the decision rows, and then plays them (see ``_play``)."""
-        W, bits_up, bits_down = self._span_out(len(rows), out)
+        W, bits_up, bits_down = self._span_out(len(self._check(rows, span=True)), out)
         if len(rows):
             self._scan(rows, W, bits_up, bits_down)
             self._play(W)
@@ -210,13 +214,13 @@ class Dftcl(_Engine):
         the k learner means, and each counter is one cumulative sum of the
         bank's per-transfer bits."""
         k = len(rows)
-        V, vbar, x, dx, y, dy = self._buffers(k)
+        V, vbar, x, y = self._buffers(k)
         keep, spent_up = self._up.take(k)
-        _feedback(self.e, rows, V, keep, x, dx, self._up)
+        _feedback(self.e, rows, V, keep, x, self._up)
         np.add.reduce(V, -2, out=vbar)
         vbar /= self.n
         keep, spent_down = self._down.take(k)
-        _feedback(self.e_hat, vbar, S, None if keep is None else keep[..., 0, :], y, dy, self._down)
+        _feedback(self.e_hat, vbar, S, None if keep is None else keep[..., 0, :], y, self._down)
         self.t += k
         self.msgs_up += self.n * k
         self.msgs_down += k
@@ -226,12 +230,11 @@ class Dftcl(_Engine):
 
     def _buffers(self, k: int):
         """The hop's buffers for a span of k rounds: the learners' messages,
-        their means, and two scratch rows each of e's and e_hat's shape.
+        their means, and a scratch row each of e's and e_hat's shape.
         Allocated once, and again only for a longer span."""
         if self._span is None or len(self._span[0]) < k:
             self._span = (np.empty((k,) + self.e.shape), np.empty((k,) + self.e_hat.shape),
-                          np.empty_like(self.e), np.empty_like(self.e),
-                          np.empty_like(self.e_hat), np.empty_like(self.e_hat))  # fmt: skip
+                          np.empty_like(self.e), np.empty_like(self.e_hat))  # fmt: skip
         V, vbar, *rows = self._span
         return V[:k], vbar[:k], *rows
 
@@ -260,11 +263,11 @@ class Dftcl(_Engine):
         self.decision = P[-1].copy()
 
 
-def _feedback(e, rows, sent, keep, x, dx, bank) -> None:
+def _feedback(e, rows, sent, keep, x, bank) -> None:
     """Error feedback over ``rows`` in turn, in place: ``sent[j]`` is the
     compression of ``e + rows[j]`` (``keep[j]`` its keep-mask, or the scaled
     sign of ``bank`` when keep is None), and ``e += rows[j] - sent[j]``, with
-    the bits of that line.  x and dx are scratch of e's shape."""
+    the bits of that line.  x, of e's shape, is scratch for both sums."""
     if keep is not None:
         sent.fill(0.0)
     for j in range(len(rows)):  # indexing beats zip over arrays on short spans
@@ -274,8 +277,8 @@ def _feedback(e, rows, sent, keep, x, dx, bank) -> None:
             v[...] = bank.scaled_sign(x)
         else:
             np.copyto(v, x, where=keep[j])
-        np.subtract(g, v, out=dx)
-        np.add(e, dx, out=e)
+        np.subtract(g, v, out=x)
+        np.add(e, x, out=e)
 
 
 def _tally(total, spent: np.ndarray, out: np.ndarray):
@@ -298,9 +301,9 @@ class Dftfcl(_Engine):
     block decision with weight mu*L).  Blocks 1 and 2 are warm-up: the initial
     decision is replayed and, in block 1, nothing is transmitted.
 
-    Both transfers a block streams are fixed when the block starts, so each is
-    sent whole at that boundary and delivered at the block's end; each round
-    adds the bits and messages of its own compressor call.
+    Round t+1 is round ``t % L + 1`` of block ``t // L + 1``.  A block's two
+    transfers are fixed when it starts, so each is sent whole then and
+    delivered at the block's end; each round counts its own calls.
     """
 
     def __init__(
@@ -315,19 +318,23 @@ class Dftfcl(_Engine):
         seed: int | tuple[int, ...] = 0,
     ):
         super().__init__(feasible, n, spec, spec, L, eta, mu, seed)
-        self._mu_block = None if mu is None else mu * L  # anchor curvature of one block decision
-        self.block = 1
-        self._k = 0  # rounds completed within the current block
         self._z_acc = np.zeros(self.e.shape)
         self._rows = None  # advance's buffer of rows laid on their blocks' rounds
-        # The transfers being streamed: payload, what arrives, bits after j calls.
-        self._up_payload = self._up_sent = self._up_bits = None  # e^{b-1} + z^{b-1}
-        self._down_payload = self._down_sent = self._down_bits = None  # v^{b-2} + e_hat^{b-2}
+        # The transfers being streamed: payload, what arrives, bits after j
+        # calls.  Until a side first sends, it streams one that costs nothing.
+        self._up_payload = self._up_sent = None  # e^{b-1} + z^{b-1}
+        self._down_payload = self._down_sent = None  # v^{b-2} + e_hat^{b-2}
+        self._up_bits = self._down_bits = [0 * self.bits_up] * (self.L + 1)
+
+    @property
+    def block(self) -> int:
+        """The block the next round plays in, counted from 1."""
+        return self.t // self.L + 1
 
     def round(self, grads: np.ndarray) -> RoundInfo:
         """Advance one round; pipeline completions happen on block boundaries."""
         w_played = self.decision
-        self._z_acc += grads
+        self._z_acc += self._check(grads)
         return RoundInfo(w_played, *self._count(1))
 
     def advance(self, rows: np.ndarray, out=None):
@@ -339,10 +346,10 @@ class Dftfcl(_Engine):
         may be taken at the decision in play; rows past it must not depend on
         the decision.  Each block's rows are summed at once (see
         ``_block_sums``), and the block is finished as ``round`` finishes it."""
-        W, bits_up, bits_down = self._span_out(len(rows), out)
+        W, bits_up, bits_down = self._span_out(len(self._check(rows, span=True)), out)
         i = 0
         for z in self._block_sums(rows):
-            m = min(self.L - self._k, len(rows) - i)
+            m = min(self.L - self.t % self.L, len(rows) - i)
             W[i : i + m] = self.decision
             self._z_acc[...] = z
             self._count(m, bits_up[i : i + m], bits_down[i : i + m])
@@ -361,7 +368,7 @@ class Dftfcl(_Engine):
         change no sum.  (``np.add.reduce`` over the rounds would sum pairwise
         when a round has one coordinate, and ``np.add.accumulate`` along them
         takes ten times as long.)"""
-        k0, L, k = self._k, self.L, len(rows)
+        k0, L, k = self.t % self.L, self.L, len(rows)
         nb = -(-(k0 + k) // L) if k else 0
         if self._rows is None or len(self._rows) < nb * L:
             self._rows = np.empty((k + 2 * L,) + rows.shape[1:])
@@ -377,52 +384,43 @@ class Dftfcl(_Engine):
         return sums
 
     def _count(self, m: int, bits_up=None, bits_down=None):
-        """Play rounds k+1..k+m of the block, k the rounds it has played: add
-        calls k+1..k+m of each transfer in flight to the counters, writing the
-        bit counters after each of those rounds into ``bits_up`` and
-        ``bits_down`` if given, and finish the block at its end.  Returns the
-        transfers that completed, else (None, None)."""
-        k = self._k
-        up = self._up_bits if self.block >= 2 else None  # a transfer's bits after j calls
-        down = self._down_bits if self.block >= 3 else None
+        """Play rounds k+1..k+m of the block, k = t % L: add calls k+1..k+m of
+        each transfer in flight to the counters, writing the bit counters
+        after each round into ``bits_up`` and ``bits_down`` if given, and
+        finish the block at its end.  Returns the transfers that completed,
+        else (None, None).  Messages count from round L+1 up, 2L+1 down."""
+        k, up, down = self.t % self.L, self._up_bits, self._down_bits
         if bits_up is not None:
-            for j in range(1, m + 1):
-                bits_up[j - 1] = self.bits_up if up is None else self.bits_up + (up[k + j] - up[k])
-                bits_down[j - 1] = self.bits_down if down is None else self.bits_down + (down[k + j] - down[k])
+            bits_up[...], bits_down[...] = up[k + 1 : k + m + 1], down[k + 1 : k + m + 1]
+            bits_up += self.bits_up - up[k]
+            bits_down += self.bits_down - down[k]
+        self.bits_up += up[k + m] - up[k]
+        self.bits_down += down[k + m] - down[k]
         self.t += m
-        self._k += m
-        if up is not None:
-            self.bits_up += up[k + m] - up[k]
-            self.msgs_up += self.n * m
-        if down is not None:
-            self.bits_down += down[k + m] - down[k]
-            self.msgs_down += m
-        if self._k == self.L:
-            return self._finish_block()
-        return None, None
+        self.msgs_up = self.n * (self.t - self.L if self.t > self.L else 0)
+        self.msgs_down = self.t - 2 * self.L if self.t > 2 * self.L else 0
+        return self._finish_block() if self.t % self.L == 0 else (None, None)
 
     def _finish_block(self):
-        b = self.block
+        """End block b: the server leg, then the learner leg and its relay down
+        (neither reads what the other writes), then the next uplink."""
+        b = self.t // self.L
         self.anchor_sum += self.decision
         v_done = s_done = None
-        if b >= 2:
-            v_done = self._up_sent
-            self.e = self._up_payload - v_done
-            vbar = self._learner_mean(v_done)
-        if b >= 3:
+        if b >= 3:  # the broadcast of block b-2 arrives
             s_done = self._down_sent
             self.e_hat = self._down_payload - s_done
             self.s_sum += s_done
-            self._lead(self._mu_block, float(b))
-        if b >= 2:
-            self._down_payload = vbar + self.e_hat
+            self._lead(None if self.mu is None else self.mu * self.L, float(b))
+        if b >= 2:  # the learners' messages for block b-1 arrive
+            v_done = self._up_sent
+            self.e = self._up_payload - v_done
+            self._down_payload = self._learner_mean(v_done) + self.e_hat
             s, self._down_bits = self._down.send(self._down_payload[..., None, :])
             self._down_sent = s[..., 0, :]
         self._up_payload = self.e + self._z_acc
         self._up_sent, self._up_bits = self._up.send(self._up_payload)
         self._z_acc[...] = 0.0
-        self.block += 1
-        self._k = 0
         return v_done, s_done
 
 
@@ -467,8 +465,9 @@ class O2b(_Engine):
         In lockstep, ``problem.stochastic_grads`` receives the (R, d) iterates
         with ``rng`` and returns (R, n, d) subgradients.  The run driver takes
         the same update through ``_step``, with its oracle reading a table of
-        picked samples."""
-        return self._step(lambda x: problem.stochastic_grads(x, rng))
+        picked samples.  Subgradients of the wrong shape raise ConfigError
+        before the update sends or steps."""
+        return self._step(lambda x: self._check(problem.stochastic_grads(x, rng)))
 
     def _step(self, oracle) -> UpdateInfo:
         """One update with the subgradients ``oracle(x^t)``."""

@@ -127,7 +127,8 @@ class Ball:
         return (self.radius / np.maximum(nrm, self.radius))[..., None] * x
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
-        return float(np.linalg.norm(x)) <= self.radius + tol
+        """Whether every row of x, shape (..., d), has norm at most radius + tol."""
+        return all(np.linalg.norm(row) <= self.radius + tol for row in np.reshape(x, (-1, np.shape(x)[-1])))
 
 
 FeasibleSet = Union[Box, Ball]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from doco.algorithms import Dftcl, Dftfcl, O2b
 from doco.compressors import Identity, RandK, RandomGossip, ScaledSign, entity_stream
@@ -298,7 +299,7 @@ def test_dftfcl_block_sums_add_in_round_order(n, d, L):
         rows = rng.standard_normal((4 * L + 1, n, d)) * 10.0 ** rng.integers(-12, 12, (4 * L + 1, n, d))
         rows[rng.random(rows.shape) < 0.2] = -0.0
         rows[2 * L - k0 : 3 * L - k0] = -0.0  # the span's third block
-        eng._k, eng._z_acc = k0, rng.standard_normal((n, d))
+        eng.t, eng._z_acc = k0, rng.standard_normal((n, d))
         want, z, k = [], eng._z_acc.copy(), k0
         for g in rows:
             z += g
@@ -477,7 +478,8 @@ def test_o2b_bits_count_l_rounds_per_update():
 
 
 class _Recorder:
-    """Wraps a sender bank and keeps every (R, bits, rows) transfer it sends.
+    """Wraps a sender bank and keeps every (R, bits, senders) transfer it
+    sends, ``bits`` its bits after each call.
 
     The last ``streaming`` transfers are not delivered yet: Dftfcl sends a
     transfer at the block boundary where its payload is fixed, and it counts
@@ -488,7 +490,7 @@ class _Recorder:
 
     def send(self, X):
         R, bits = self.bank.send(X)
-        self.sends.append((R.copy(), bits[-1], X.shape[0]))
+        self.sends.append((R.copy(), np.array(bits), X.shape[-2]))
         return R, bits
 
     def delivered(self, held_back=0):
@@ -497,33 +499,60 @@ class _Recorder:
 
     def total(self, held_back=0):
         """Sum of what the delivered transfers (less ``held_back``) delivered, per sender."""
-        return sum((R for R, *_ in self.delivered(held_back)), np.zeros((len(self.bank.rngs), self.bank.d)))
+        return sum((R for R, *_ in self.delivered(held_back)), np.zeros(self.bank._shape + (self.bank.d,)))
 
     def bits(self):
-        return sum(b for _, b, _ in self.delivered())
+        return sum((b[-1] for _, b, _ in self.delivered()), np.zeros(self.bank._shape[:-1], dtype=np.int64))
 
     def msgs(self):
-        return sum(rows for _, _, rows in self.delivered()) * self.bank.rounds
+        return sum(senders for _, _, senders in self.delivered()) * self.bank.rounds
+
+    def streamed(self, t, L, first):
+        """Dftfcl's bits after round t, for a side whose transfers stream from
+        block ``first`` + 1 on, one call a round."""
+        i, j = divmod(t - 1, L)
+        i -= first  # the transfer streaming in round t, if i >= 0
+        done = sum((b[-1] for _, b, _ in self.sends[: max(i, 0)]), np.zeros(self.bank._shape[:-1], dtype=np.int64))
+        return done + (self.sends[i][1][j + 1] if i >= 0 else 0)
 
 
 ENGINE_SPECS = [Identity(), RandK(2), ScaledSign(), RandomGossip(0.4)]
 _DFTCL_STATE = ("decision", "e", "e_hat", "s_sum", "bits_up", "bits_down", "msgs_up", "msgs_down", "t")
 
 
-@pytest.mark.parametrize("spec", ENGINE_SPECS, ids=["identity", "randk", "sign", "gossip"])
+@pytest.mark.parametrize("lockstep", [False, True], ids=["single", "lockstep"])
 @pytest.mark.parametrize("algo", ["dftcl", "dftfcl", "o2b"])
-def test_engine_memories_telescope_and_counters_are_exact(algo, spec):
-    # Dftcl: the reference round (oracles.dftcl_round) telescopes, and the
-    # engine's round leaves every state array as the reference does.
-    n, d, L, steps = 3, 5, 3, 60
-    fs = Ball(1.0, d)
-    grads = np.random.default_rng(3).normal(size=(steps, n, d))
+@settings(max_examples=25, deadline=None)
+@given(
+    spec=st.sampled_from(ENGINE_SPECS),
+    n=st.integers(1, 4),
+    d=st.integers(2, 6),
+    L=st.integers(1, 5),
+    steps=st.integers(1, 40),
+    cuts=st.lists(st.integers(1, 39), max_size=8),
+)
+@example(spec=RandK(2), n=3, d=5, L=3, steps=20, cuts=[1, 2, 7, 12])
+@example(spec=RandomGossip(0.4), n=2, d=3, L=4, steps=23, cuts=[5, 6, 13])
+@example(spec=ScaledSign(), n=2, d=3, L=2, steps=3, cuts=[1])
+def test_engine_memories_telescope_and_counters_are_exact(algo, spec, n, d, L, steps, lockstep, cuts):
+    # Each engine's memories telescope over the transfers its banks sent, and
+    # its counters are exactly what those transfers cost, for any number of
+    # steps (Dftfcl: inside the warm-up and between block ends too).  Dftcl's
+    # round leaves every state array as the reference round
+    # (oracles.dftcl_round) does.  Dftfcl played through advance, cut into
+    # spans anywhere, counts after each round the bits its transfers have
+    # spent by then.
+    fs, seed = Ball(1.0, d), (4, 5) if lockstep else 4
+    grads = np.random.default_rng(3).normal(size=(steps,) + (2,) * lockstep + (n, d))
+    build = {
+        "dftcl": lambda: Dftcl(fs, n, spec, eta=0.3, seed=seed),
+        "dftfcl": lambda: Dftfcl(fs, n, spec, L, eta=0.3, seed=seed),
+        "o2b": lambda: O2b(fs, n, spec, L, weights="uniform", eta=0.3, seed=seed),
+    }[algo]
+    eng = build()
     if algo == "dftcl":
-        eng, engine = Dftcl(fs, n, spec, eta=0.3, seed=4), Dftcl(fs, n, spec, eta=0.3, seed=4)
-    elif algo == "dftfcl":
-        eng = Dftfcl(fs, n, spec, L, eta=0.3, seed=4)
-    else:
-        eng = O2b(fs, n, spec, L, weights="uniform", eta=0.3, seed=4)
+        engine = build()
+    elif algo == "o2b":
         stub = _StubProblem(grads)
     streaming = 1 if algo == "dftfcl" else 0  # the transfer the next block streams
     up, down = eng._up, eng._down = _Recorder(eng._up, streaming), _Recorder(eng._down, streaming)
@@ -543,27 +572,53 @@ def test_engine_memories_telescope_and_counters_are_exact(algo, spec):
             # At the end of block b the learners have streamed blocks 1..b-1
             # and the server has broadcast what they had streamed by block b-1.
             fed = grads[: t - L].sum(axis=0)
-            consumed = up.total(held_back=1).mean(axis=0)
+            consumed = up.total(held_back=1).mean(axis=-2)
         else:  # every step is one completed transfer (uniform weights: alpha = 1)
             fed = grads[:t].sum(axis=0)
-            consumed = up.total().mean(axis=0)
+            consumed = up.total().mean(axis=-2)
         np.testing.assert_allclose(eng.e, fed - up.total(), atol=1e-9)
-        np.testing.assert_allclose(eng.e_hat, consumed - down.total()[0], atol=1e-9)
-        np.testing.assert_allclose(eng.s_sum, down.total()[0], atol=1e-9)
+        np.testing.assert_allclose(eng.e_hat, consumed - down.total()[..., 0, :], atol=1e-9)
+        np.testing.assert_allclose(eng.s_sum, down.total()[..., 0, :], atol=1e-9)
 
     rounds = {"dftcl": 1, "dftfcl": 1, "o2b": L}[algo]
     skipped = {"dftcl": (0, 0), "dftfcl": (L, 2 * L), "o2b": (0, 0)}[algo]  # dftfcl's warm-up rounds
-    assert eng.msgs_up == up.msgs() == n * rounds * (steps - skipped[0])
-    assert eng.msgs_down == down.msgs() == rounds * (steps - skipped[1])
-    assert (eng.bits_up, eng.bits_down) == (up.bits(), down.bits())
-    for bits, msgs in ((eng.bits_up, eng.msgs_up), (eng.bits_down, eng.msgs_down)):
-        if isinstance(spec, RandomGossip):
-            # Delivered messages cost 64 d bits and failed ones one flag bit.
-            delivered, rest = divmod(bits - msgs, 64 * d - 1)
-            assert rest == 0 and 0 < delivered < msgs
-        else:
-            per_msg = {Identity: 64 * d, RandK: 2 * (64 + 3), ScaledSign: d + 64}[type(spec)]
-            assert bits == msgs * per_msg
+    assert eng.msgs_up == n * rounds * max(steps - skipped[0], 0)
+    assert eng.msgs_down == rounds * max(steps - skipped[1], 0)
+    whole = algo != "dftfcl" or steps % L == 0  # no transfer is part-streamed
+    if whole:
+        assert (eng.msgs_up, eng.msgs_down) == (up.msgs(), down.msgs())
+    if algo == "dftfcl":  # the transfers streaming at the end are counted up to this round
+        want = up.streamed(steps, L, 1), down.streamed(steps, L, 2)
+    else:
+        want = up.bits(), down.bits()
+    assert np.array_equal(eng.bits_up, want[0]) and np.array_equal(eng.bits_down, want[1])
+    assert all(type(c) is int for c in (eng.msgs_up, eng.msgs_down))
+    assert all(type(c) is (np.ndarray if lockstep else int) for c in (eng.bits_up, eng.bits_down))
+    if whole:
+        for bits, msgs in ((eng.bits_up, eng.msgs_up), (eng.bits_down, eng.msgs_down)):
+            bits = np.asarray(bits)
+            if isinstance(spec, RandomGossip):
+                # Delivered messages cost 64 d bits and failed ones one flag bit.
+                delivered, rest = np.divmod(bits - msgs, 64 * d - 1)
+                assert np.all(rest == 0) and np.all((0 <= delivered) & (delivered <= msgs))
+                if msgs >= 40:
+                    assert np.all((0 < delivered) & (delivered < msgs))
+            else:
+                per_msg = {Identity: 64 * d, RandK: 2 * (64 + math.ceil(math.log2(d))), ScaledSign: d + 64}[type(spec)]
+                assert np.all(bits == msgs * per_msg)
+
+    if algo != "dftfcl":
+        return
+    spanned = build()
+    up, down = spanned._up, spanned._down = _Recorder(spanned._up, 1), _Recorder(spanned._down, 1)
+    bounds = sorted({0, steps, *(c for c in cuts if c < steps)})
+    for a, b in zip(bounds, bounds[1:]):
+        _, bits_up, bits_down = spanned.advance(grads[a:b])
+        for t in range(a + 1, b + 1):
+            assert np.array_equal(bits_up[t - a - 1], up.streamed(t, L, 1)), t
+            assert np.array_equal(bits_down[t - a - 1], down.streamed(t, L, 2)), t
+    for name in _DFTCL_STATE + ("anchor_sum", "_z_acc", "block"):
+        assert np.asarray(getattr(spanned, name)).tobytes() == np.asarray(getattr(eng, name)).tobytes(), name
 
 
 @pytest.mark.parametrize("seed", [4, (4, 5)], ids=["single", "lockstep"])
@@ -610,6 +665,46 @@ def test_decisions_always_feasible(spec):
             blocked.round(env.grads(t, blocked.decision))
             assert fs.contains(eng.decision, tol=1e-12)
             assert fs.contains(blocked.decision, tol=1e-12)
+
+
+@pytest.mark.parametrize("lockstep", [False, True], ids=["single", "lockstep"])
+@pytest.mark.parametrize("algo", ["dftcl", "dftfcl", "o2b"])
+def test_engines_reject_gradient_rows_of_the_wrong_shape(algo, lockstep):
+    # One row for every learner, a learner or coordinate short, or in
+    # lockstep one replication's rows: refused before anything is sent, so
+    # the engine then plays as one that never saw them.
+    n, d, L = 3, 4, 2
+    lead, seed = ((2,), (1, 2)) if lockstep else ((), 1)
+    build = {
+        "dftcl": lambda: Dftcl(Ball(1.0, d), n, RandK(2), eta=0.3, seed=seed),
+        "dftfcl": lambda: Dftfcl(Ball(1.0, d), n, RandK(2), L, eta=0.3, seed=seed),
+        "o2b": lambda: O2b(Ball(1.0, d), n, RandK(2), L, eta=0.3, seed=seed),
+    }[algo]
+    eng, clean = build(), build()
+    bad = [np.ones(d), np.ones(lead + (n - 1, d)), np.ones(lead + (n, d + 1)), np.ones((n, d) if lockstep else (2, n, d))]
+    for g in bad:
+        if algo == "o2b":
+            with pytest.raises(ConfigError, match=r"^grads: must be shape"):
+                eng.step(_StubProblem([g]), None)
+            continue
+        with pytest.raises(ConfigError, match=r"^grads: must be shape"):
+            eng.round(g)
+        with pytest.raises(ConfigError, match=r"^grads: must be k rows of shape"):
+            eng.advance(g[None])
+    if algo != "o2b":
+        with pytest.raises(ConfigError, match=r"^grads: must be k rows of shape"):
+            eng.advance(np.ones(lead + (n, d)))  # one round's rows, not a span of them
+    else:  # the public step's failed queries moved only t and the iterate average
+        eng.t, eng._x_weighted, eng._alpha_total = clean.t, clean._x_weighted.copy(), clean._alpha_total
+    for g in np.random.default_rng(0).normal(size=(4,) + lead + (n, d)):
+        if algo == "o2b":
+            eng.step(_StubProblem([g]), None)
+            clean.step(_StubProblem([g]), None)
+        else:
+            eng.round(g)
+            clean.round(g)
+    for name in ("decision", "e", "e_hat", "s_sum", "bits_up", "bits_down", "msgs_up", "msgs_down", "t"):
+        assert np.asarray(getattr(eng, name)).tobytes() == np.asarray(getattr(clean, name)).tobytes(), name
 
 
 def test_engine_parameter_validation():

@@ -103,6 +103,16 @@ def test_project_dimension_mismatch():
         project(Ball(1.0, 3), [1.0, 2.0])
 
 
+def test_ball_contains_checks_each_row():
+    # A stack of rows is inside when every row is, as project leaves it.
+    ball = Ball(1.0, 2)
+    rows = np.array([[0.8, 0.0], [0.0, -0.8]])
+    assert ball.contains(rows, tol=0.0) and ball.project(rows).tobytes() == rows.tobytes()
+    assert ball.contains(rows[None], tol=0.0)
+    assert not ball.contains([[0.8, 0.0], [1.2, 0.0]])
+    assert ball.contains([0.6, 0.8], tol=0.0) and not ball.contains([0.6, 0.81], tol=0.0)
+
+
 def test_box_must_contain_origin():
     with pytest.raises(ConfigError, match="origin"):
         Box(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
@@ -153,7 +163,7 @@ def test_projection_is_row_wise_bit_for_bit(d, R, seed, use_ball):
     else:
         feasible = Box(-rng.uniform(0.0, 2.0, d), rng.uniform(0.0, 2.0, d))
     P = feasible.project(X)
-    assert P.shape == (R, d)
+    assert P.shape == (R, d) and feasible.contains(P, tol=1e-12)
     assert feasible.project(X[None]).tobytes() == P.tobytes()
     for r in range(R):
         assert feasible.project(X[r]).tobytes() == P[r].tobytes()

@@ -445,7 +445,7 @@ def test_engine_spans_equal_round_by_round(algo, step, data):
     def grads(t, k, decision):  # rounds t+1..t+k at the decision
         return np.where(zeros[t : t + k], -0.0, env._gradient(table[t : t + k], decision))
 
-    names = _ENGINE_STATE + (("_z_acc", "block", "_k") if algo == "dftfcl" else ())
+    names = _ENGINE_STATE + (("_z_acc", "block") if algo == "dftfcl" else ())
     W, up, down, states = [], [], [], {}
     for t in range(T):
         W.append(stepped.decision)
